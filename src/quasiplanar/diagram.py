@@ -12,6 +12,12 @@ two-dimensional realizer, so valid diagrams are precisely the bounded posets
 of order dimension at most two, each equipped with a drawing in which every
 element lies on one consistent side of every maximal chain avoiding it.
 
+A valid diagram is therefore nothing but its two sweep positions: x is below
+y when it comes first in both sweeps, and left of y when it comes first in
+the left-to-right sweep only.  ``Diagram(lam_pos, rho_pos)`` is the one
+constructor; :func:`validate` computes the positions from raw relations and
+every construction here and in the other modules computes them directly.
+
 Diagrams are compared up to *similarity*: a bijection preserving both the
 order and the left relation.  ``canonical_form`` reduces similarity to
 equality of permutations of the interior elements, and ``from_canonical``
@@ -20,12 +26,11 @@ inverts it, which is what makes exhaustive enumeration by size possible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import (
     LeftIncomplete,
     LeftOnComparable,
-    NotALattice,
     NotAPartialOrder,
     NotBounded,
     NotLinearizable,
@@ -45,66 +50,85 @@ def bits(mask):
 
 @dataclass(frozen=True)
 class Diagram:
-    """An immutable valid diagram.
+    """An immutable valid diagram, given by its two sweep positions.
 
-    ``up[x]`` is the bitmask of elements >= x (x included) and ``lft[x]`` the
-    bitmask of elements that x is to the left of.  Only these two fields
-    carry identity; everything else is derived on construction.  Instances
-    are hashable values, safe to share and to use as dict keys.
+    ``lam_pos[x]`` is the position of x in the left-to-right sweep and
+    ``rho_pos[x]`` its position in the right-to-left sweep.  These two
+    fields carry identity; everything else is derived on construction:
+    ``up[x]``/``dn[x]`` are the bitmasks of elements >= x / <= x (x
+    included), ``lft[x]``/``rgt[x]`` those of the elements x is left /
+    right of, ``upcov``/``dncov`` the cover masks.  Instances are hashable
+    values, safe to share and to use as dict keys.
 
-    Construct via :func:`validate` (raw input) or :func:`from_canonical`
-    (decoding a permutation); the constructor itself only rederives caches
-    and asserts that the two sweep orders really are linear.
+    ``Diagram(lam_pos, rho_pos)`` is the only constructor.  It raises
+    NotLinearizable unless both arguments are permutations of 0..n-1 and
+    NotBounded unless the two sweeps start on one element and end on one
+    element; any such pair is a valid diagram.  :func:`validate` builds one
+    from raw relations and :func:`from_canonical` from a permutation.
     """
 
-    n: int
-    up: tuple[int, ...]
-    lft: tuple[int, ...]
+    lam_pos: tuple[int, ...]
+    rho_pos: tuple[int, ...]
 
+    n: int = field(init=False, compare=False, repr=False)
+    up: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    lft: tuple[int, ...] = field(init=False, compare=False, repr=False)
     dn: tuple[int, ...] = field(init=False, compare=False, repr=False)
     rgt: tuple[int, ...] = field(init=False, compare=False, repr=False)
     upcov: tuple[int, ...] = field(init=False, compare=False, repr=False)
     dncov: tuple[int, ...] = field(init=False, compare=False, repr=False)
     bottom: int = field(init=False, compare=False, repr=False)
     top: int = field(init=False, compare=False, repr=False)
-    lam_pos: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    rho_pos: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    lam_order: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    rho_order: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    # lattice tables, filled in by quasiplanar.lattice.lattice_tables
+    _tables: object = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        n, up, lft = self.n, self.up, self.lft
-        dn = [0] * n
-        rgt = [0] * n
+        lam, rho = tuple(self.lam_pos), tuple(self.rho_pos)
+        n = len(lam)
+        if sorted(lam) != list(range(n)) or sorted(rho) != list(range(n)):
+            raise NotLinearizable("sweep positions must be permutations of 0..n-1")
+        lam_order, rho_order = [0] * n, [0] * n
         for x in range(n):
-            for y in bits(up[x]):
-                dn[y] |= 1 << x
-            for y in bits(lft[x]):
-                rgt[y] |= 1 << x
-        bottoms = [x for x in range(n) if dn[x] == 1 << x]
-        tops = [x for x in range(n) if up[x] == 1 << x]
-        assert len(bottoms) == 1 and len(tops) == 1, "diagram must be bounded"
-        # Position of x in a sweep = n - 1 - (number of elements after x).
-        lam = [n - 1 - ((up[x] & ~(1 << x)) | lft[x]).bit_count() for x in range(n)]
-        rho = [n - 1 - ((up[x] & ~(1 << x)) | rgt[x]).bit_count() for x in range(n)]
-        assert sorted(lam) == list(range(n)), "order + left is not linear"
-        assert sorted(rho) == list(range(n)), "order + inverted left is not linear"
-        upcov = []
-        dncov = [0] * n
+            lam_order[lam[x]] = x
+            rho_order[rho[x]] = x
+        if not n or lam_order[0] != rho_order[0] or lam_order[-1] != rho_order[-1]:
+            raise NotBounded("the two sweeps must share their first and last element")
+        # before_l[x], before_r[x]: masks of the elements x follows in each sweep
+        before_l, before_r = [0] * n, [0] * n
+        for order, before in ((lam_order, before_l), (rho_order, before_r)):
+            seen = 0
+            for x in order:
+                before[x] = seen
+                seen |= 1 << x
+        full = (1 << n) - 1
+        up, dn, lft, rgt = [], [], [], []
         for x in range(n):
-            su = up[x] & ~(1 << x)
-            cov = su
-            for y in bits(su):
-                cov &= ~(up[y] & ~(1 << y))
-            upcov.append(cov)
-            for y in bits(cov):
-                dncov[y] |= 1 << x
-        object.__setattr__(self, "dn", tuple(dn))
-        object.__setattr__(self, "rgt", tuple(rgt))
-        object.__setattr__(self, "upcov", tuple(upcov))
-        object.__setattr__(self, "dncov", tuple(dncov))
-        object.__setattr__(self, "bottom", bottoms[0])
-        object.__setattr__(self, "top", tops[0])
-        object.__setattr__(self, "lam_pos", tuple(lam))
-        object.__setattr__(self, "rho_pos", tuple(rho))
+            bl, br, bit = before_l[x], before_r[x], 1 << x
+            al, ar = full ^ bl ^ bit, full ^ br ^ bit
+            up.append(al & ar | bit)
+            dn.append(bl & br | bit)
+            lft.append(al & br)
+            rgt.append(bl & ar)
+        # y covers x when nothing follows x and precedes y in both sweeps
+        upcov, dncov = [0] * n, [0] * n
+        for i, x in enumerate(lam_order):
+            bound = n  # the lowest reverse position seen above x so far
+            for y in lam_order[i + 1:]:
+                if rho[x] < rho[y] < bound:
+                    upcov[x] |= 1 << y
+                    dncov[y] |= 1 << x
+                    bound = rho[y]
+        for name, value in (
+            ("lam_pos", lam), ("rho_pos", rho), ("n", n),
+            ("up", tuple(up)), ("lft", tuple(lft)),
+            ("dn", tuple(dn)), ("rgt", tuple(rgt)),
+            ("upcov", tuple(upcov)), ("dncov", tuple(dncov)),
+            ("bottom", lam_order[0]), ("top", lam_order[-1]),
+            ("lam_order", tuple(lam_order)), ("rho_order", tuple(rho_order)),
+        ):
+            object.__setattr__(self, name, value)
 
     # -- relation queries ------------------------------------------------
 
@@ -121,20 +145,6 @@ class Diagram:
         return bool(self.lft[x] & (1 << y))
 
     # -- derived views ---------------------------------------------------
-
-    @property
-    def lam_order(self):
-        order = [0] * self.n
-        for x in range(self.n):
-            order[self.lam_pos[x]] = x
-        return tuple(order)
-
-    @property
-    def rho_order(self):
-        order = [0] * self.n
-        for x in range(self.n):
-            order[self.rho_pos[x]] = x
-        return tuple(order)
 
     def cover_pairs(self):
         return tuple(
@@ -166,6 +176,13 @@ class Realizer:
     rho_order: tuple[int, ...]
 
 
+def _listed(elements, shown=8):
+    """A list for an error message, cut to its first few members."""
+    if len(elements) <= shown:
+        return f"{elements}"
+    return f"{elements[:shown]} and {len(elements) - shown} more"
+
+
 def _closure(n, pairs):
     """Strict pairs -> reflexive up-set masks; rejects cycles."""
     succ = [0] * n
@@ -188,7 +205,9 @@ def _closure(n, pairs):
                 queue.append(y)
     if len(topo) != n:
         cyclic = sorted(x for x in range(n) if indeg[x] > 0)
-        raise NotAPartialOrder(f"cover relation has a cycle through {cyclic}")
+        raise NotAPartialOrder(
+            f"cover relation has a cycle through {_listed(cyclic)}"
+        )
     up = [1 << x for x in range(n)]
     for x in reversed(topo):
         for y in bits(succ[x]):
@@ -235,9 +254,11 @@ def validate(n, covers, left=()):
     bottoms = [x for x in range(n) if dn[x] == 1 << x]
     tops = [x for x in range(n) if up[x] == 1 << x]
     if len(bottoms) != 1:
-        raise NotBounded(f"minimal elements {bottoms}, expected exactly one")
+        raise NotBounded(
+            f"minimal elements {_listed(bottoms)}, expected exactly one"
+        )
     if len(tops) != 1:
-        raise NotBounded(f"maximal elements {tops}, expected exactly one")
+        raise NotBounded(f"maximal elements {_listed(tops)}, expected exactly one")
     lft = [0] * n
     for a, b in left_list:
         if a == b:
@@ -259,17 +280,18 @@ def validate(n, covers, left=()):
                 raise LeftIncomplete(
                     f"incomparable pair ({x}, {y}) carries no orientation"
                 )
-    lam_scores = sorted(((up[x] & ~(1 << x)) | lft[x]).bit_count() for x in range(n))
-    if lam_scores != list(range(n)):
+    # Every incomparable pair is now oriented exactly once, so a sweep is
+    # linear iff its positions, n - 1 - (number of elements after x), form
+    # a permutation.  In the right-to-left sweep that count is the number
+    # of elements before x: those below x and those x is left of.
+    ident = list(range(n))
+    lam = [n - 1 - ((up[x] & ~(1 << x)) | lft[x]).bit_count() for x in range(n)]
+    if sorted(lam) != ident:
         raise NotLinearizable("order + left is not a linear order")
-    rgt = [0] * n
-    for x in range(n):
-        for y in bits(lft[x]):
-            rgt[y] |= 1 << x
-    rho_scores = sorted(((up[x] & ~(1 << x)) | rgt[x]).bit_count() for x in range(n))
-    if rho_scores != list(range(n)):
+    rho = [((dn[x] & ~(1 << x)) | lft[x]).bit_count() for x in range(n)]
+    if sorted(rho) != ident:
         raise NotLinearizable("order + inverted left is not a linear order")
-    return Diagram(n, tuple(up), tuple(lft))
+    return Diagram(lam, rho)
 
 
 def revalidate(d):
@@ -307,17 +329,7 @@ def from_canonical(perm):
     n = len(perm) + 2
     if sorted(perm) != list(range(1, n - 1)):
         raise ValueError(f"{perm!r} is not a permutation of 1..{n - 2}")
-    rho = (0,) + perm + (n - 1,)
-    up = [0] * n
-    lft = [0] * n
-    for x in range(n):
-        up[x] = 1 << x
-        for y in range(x + 1, n):
-            if rho[x] < rho[y]:
-                up[x] |= 1 << y
-            else:
-                lft[x] |= 1 << y
-    return Diagram(n, tuple(up), tuple(lft))
+    return Diagram(range(n), (0, *perm, n - 1))
 
 
 def similar(d1, d2):
@@ -327,21 +339,17 @@ def similar(d1, d2):
 
 def mirror(d):
     """The same poset with every left pair reversed."""
-    return replace(d, lft=d.rgt)
+    return Diagram(d.rho_pos, d.lam_pos)
 
 
 def relabel(d, new_of_old):
     """Apply a bijection ``old index -> new index`` to a diagram."""
-    n = d.n
-    up = [0] * n
-    lft = [0] * n
-    for x in range(n):
-        nx = new_of_old[x]
-        for y in bits(d.up[x]):
-            up[nx] |= 1 << new_of_old[y]
-        for y in bits(d.lft[x]):
-            lft[nx] |= 1 << new_of_old[y]
-    return Diagram(n, tuple(up), tuple(lft))
+    lam = [0] * d.n
+    rho = [0] * d.n
+    for x in range(d.n):
+        lam[new_of_old[x]] = d.lam_pos[x]
+        rho[new_of_old[x]] = d.rho_pos[x]
+    return Diagram(lam, rho)
 
 
 def canonical_relabel(d):
@@ -357,26 +365,18 @@ def _maximal_in(d, mask):
     return [z for z in bits(mask) if not (d.up[z] & ~(1 << z) & mask)]
 
 
-def _lattice_check(d):
-    """Raise NotALattice with a witness if some bound is not unique."""
-    for x in range(d.n):
-        for y in range(x + 1, d.n):
-            if not d.incomparable(x, y):
-                continue
-            mins = _minimal_in(d, d.up[x] & d.up[y])
-            if len(mins) > 1:
-                raise NotALattice(
-                    f"elements {x} and {y} have minimal upper bounds "
-                    f"{mins[0]} and {mins[1]}",
-                    witness=(x, y, mins[0], mins[1]),
-                )
-            maxs = _maximal_in(d, d.dn[x] & d.dn[y])
-            if len(maxs) > 1:
-                raise NotALattice(
-                    f"elements {x} and {y} have maximal lower bounds "
-                    f"{maxs[0]} and {maxs[1]}",
-                    witness=(x, y, maxs[0], maxs[1]),
-                )
+def _dominance_diagram(keys):
+    """The diagram of distinct keys (a, b) ordered componentwise.
+
+    Key i lies below key j when both of its components are weakly smaller,
+    and to its left when its first is smaller and its second larger: the
+    left-to-right sweep sorts the keys by (a, b), the reverse one by (b, a).
+    """
+    lam, rho = [0] * len(keys), [0] * len(keys)
+    for pos, key in ((lam, lambda i: keys[i]), (rho, lambda i: keys[i][::-1])):
+        for p, i in enumerate(sorted(range(len(keys)), key=key)):
+            pos[i] = p
+    return Diagram(lam, rho)
 
 
 def boundary_chains(d):
@@ -385,9 +385,12 @@ def boundary_chains(d):
     Walk up from the bottom, always taking the leftmost (resp. rightmost)
     upper cover.  The left chain C satisfies: every element off C that is
     incomparable to some member of C lies to its right; dually for the
-    right chain.
+    right chain.  Raises NotALattice, with the witness of
+    :func:`~quasiplanar.lattice.lattice_tables`, when ``d`` is no lattice.
     """
-    _lattice_check(d)
+    from .lattice import lattice_tables  # lattice builds on this module
+
+    lattice_tables(d)
     left_chain = [d.bottom]
     while left_chain[-1] != d.top:
         covs = list(bits(d.upcov[left_chain[-1]]))

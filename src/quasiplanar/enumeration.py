@@ -223,17 +223,20 @@ def oracle_enumerate(size):
                 else:
                     lft[y] |= 1 << x
                     rgt[x] |= 1 << y
-            lam = sorted(
-                ((up[x] & ~(1 << x)) | lft[x]).bit_count() for x in range(n)
-            )
-            if lam != list(range(n)):
+            # sweep position = n - 1 - (number of elements after x)
+            lam = [
+                n - 1 - ((up[x] & ~(1 << x)) | lft[x]).bit_count()
+                for x in range(n)
+            ]
+            if sorted(lam) != list(range(n)):
                 continue
-            rho = sorted(
-                ((up[x] & ~(1 << x)) | rgt[x]).bit_count() for x in range(n)
-            )
-            if rho != list(range(n)):
+            rho = [
+                n - 1 - ((up[x] & ~(1 << x)) | rgt[x]).bit_count()
+                for x in range(n)
+            ]
+            if sorted(rho) != list(range(n)):
                 continue
-            d = Diagram(n, tuple(up), tuple(lft))
+            d = Diagram(lam, rho)
             sig = tuple(sorted(_invariants(d, respect_left=True)))
             bucket = buckets.setdefault(sig, [])
             if not any(similar_by_search(d, r) for r in bucket):

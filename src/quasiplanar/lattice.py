@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .diagram import (
-    Diagram,
+    _dominance_diagram,
     bits,
     boundary_chains,
     mirror,
@@ -53,7 +53,17 @@ class LatticeTables:
 
 
 def lattice_tables(d):
-    """Compute tables for a lattice diagram, or raise NotALattice with a witness."""
+    """Compute tables for a lattice diagram, or raise NotALattice with a witness.
+
+    The tables are computed once per diagram instance and kept on it; a
+    failure is not kept, so asking again raises again.
+    """
+    if d._tables is None:
+        object.__setattr__(d, "_tables", _compute_tables(d))
+    return d._tables
+
+
+def _compute_tables(d):
     n = d.n
     join = [[0] * n for _ in range(n)]
     meet = [[0] * n for _ in range(n)]
@@ -236,19 +246,7 @@ def irredundant_meet_representations(d, t, x):
 def interval_subdiagram(d, lo, hi):
     """The diagram induced on the interval [lo, hi], relabeled from 0."""
     members = sorted(bits(d.up[lo] & d.dn[hi]))
-    new_of_old = {old: new for new, old in enumerate(members)}
-    m = len(members)
-    up = [0] * m
-    lft = [0] * m
-    for old in members:
-        new = new_of_old[old]
-        for y in bits(d.up[old]):
-            if y in new_of_old:
-                up[new] |= 1 << new_of_old[y]
-        for y in bits(d.lft[old]):
-            if y in new_of_old:
-                lft[new] |= 1 << new_of_old[y]
-    return Diagram(m, tuple(up), tuple(lft))
+    return _dominance_diagram([(d.lam_pos[x], d.rho_pos[x]) for x in members])
 
 
 def lattice_isomorphic(d1, d2):

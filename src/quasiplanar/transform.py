@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import Diagram, _maximal_in, _minimal_in, bits, validate
+from .diagram import _dominance_diagram, _maximal_in, _minimal_in, bits
 from .errors import InvalidGroundElement
 from .lattice import require_slim_semimodular
 
@@ -193,20 +193,7 @@ def lattice_from_pairs_labeled(d):
     """
     pairs = weak_left_pairs(d)
     keys = [(d.lam_pos[x], d.rho_pos[y]) for x, y in pairs]
-    m = len(pairs)
-    order = [
-        (i, j)
-        for i in range(m)
-        for j in range(m)
-        if i != j and keys[i][0] <= keys[j][0] and keys[i][1] <= keys[j][1]
-    ]
-    left = [
-        (i, j)
-        for i in range(m)
-        for j in range(m)
-        if keys[i][0] < keys[j][0] and keys[i][1] > keys[j][1]
-    ]
-    return validate(m, order, left), pairs
+    return _dominance_diagram(keys), pairs
 
 
 def lattice_from_pairs(d):
@@ -220,31 +207,19 @@ def lattice_from_filters_labeled(d):
     Filters are ordered by reverse inclusion and drawn with F left of G
     when F's leftmost minimal element sweeps strictly before G's and F's
     rightmost minimal element strictly after G's in the reverse sweep.
-    Returns (diagram, labels) with ``labels[i]`` the filter carried by
-    element i.
+    Both relations are read off the key (sweep position of the leftmost,
+    reverse position of the rightmost minimal element) as in
+    :func:`lattice_from_pairs`: the keys ordered componentwise are the
+    filters ordered by reverse inclusion, which the law "pair and filter
+    maps are reciprocal" checks.  Returns (diagram, labels) with
+    ``labels[i]`` the filter carried by element i.
     """
-    fam = enumerate_hco_filters(d)
-    filters = fam.filters
-    m = len(filters)
+    filters = enumerate_hco_filters(d).filters
     keys = []
     for f in filters:
         lmost, rmost = _pair_key(d, f)
         keys.append((d.lam_pos[lmost], d.rho_pos[rmost]))
-    order = [
-        (i, j)
-        for i in range(m)
-        for j in range(m)
-        if i != j and filters[j] <= filters[i]
-    ]
-    left = [
-        (i, j)
-        for i in range(m)
-        for j in range(m)
-        if not (filters[j] <= filters[i] or filters[i] <= filters[j])
-        and keys[i][0] < keys[j][0]
-        and keys[i][1] > keys[j][1]
-    ]
-    return validate(m, order, left), filters
+    return _dominance_diagram(keys), filters
 
 
 def lattice_from_filters(d):
@@ -293,20 +268,9 @@ def to_quasiplanar(d):
     """
     t = require_slim_semimodular(d)
     keep = sorted(t.mir | {d.top})
-    new_of_old = {old: i + 1 for i, old in enumerate(keep)}
-    m = len(keep) + 1
-    up = [0] * m
-    lft = [0] * m
-    up[0] = (1 << m) - 1
-    for old in keep:
-        x = new_of_old[old]
-        for oy in bits(d.up[old]):
-            if oy in new_of_old:
-                up[x] |= 1 << new_of_old[oy]
-        for oy in bits(d.lft[old]):
-            if oy in new_of_old:
-                lft[x] |= 1 << new_of_old[oy]
-    return Diagram(m, tuple(up), tuple(lft))
+    # the fresh bottom's key sorts first in both sweeps
+    keys = [(-1, -1)] + [(d.lam_pos[x], d.rho_pos[x]) for x in keep]
+    return _dominance_diagram(keys)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,10 @@
 """Core diagram type: validation, canonical forms, chains, dimension."""
 
+import os
+import subprocess
+import sys
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
@@ -225,3 +229,48 @@ def test_order_dimension_two_requires_bounds():
         qp.order_dimension_le2(3, [])
     with pytest.raises(ValueError):
         qp.order_dimension_le2(0, [])
+
+
+def test_validate_messages_stay_short_on_huge_input():
+    with pytest.raises(qp.NotBounded) as exc:
+        qp.validate(3, [(0, 2), (1, 2)])
+    assert str(exc.value) == "minimal elements [0, 1], expected exactly one"
+    with pytest.raises(qp.NotBounded) as exc:
+        qp.validate(3000, [])
+    assert len(str(exc.value)) < 200 and "and 2992 more" in str(exc.value)
+    cycle = [(i, (i + 1) % 3000) for i in range(3000)]
+    with pytest.raises(qp.NotAPartialOrder) as exc:
+        qp.validate(3000, cycle)
+    assert len(str(exc.value)) < 200 and "and 2992 more" in str(exc.value)
+
+
+def test_constructor_rejects_bad_positions_under_python_O():
+    # python -O strips asserts; the constructor's checks must not be asserts
+    script = """
+import quasiplanar as qp
+assert False, "asserts are live"
+cases = [
+    (((0, 0, 2), (0, 1, 2)), qp.NotLinearizable),
+    (((0, 1, 2), (0, 1, 3)), qp.NotLinearizable),
+    (((0, 1), (0, 1, 2)), qp.NotLinearizable),
+    (((0, 1, 2), (1, 0, 2)), qp.NotBounded),
+    (((0, 1, 2), (0, 2, 1)), qp.NotBounded),
+    (((), ()), qp.NotBounded),
+    ((3, (7, 6, 4), (2, 0, 0)), TypeError),
+]
+for args, error in cases:
+    try:
+        qp.Diagram(*args)
+    except error:
+        continue
+    raise SystemExit(f"Diagram{args} was not refused with {error.__name__}")
+print("refused", len(cases))
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "refused 7\n"), proc.stderr

@@ -3,6 +3,7 @@
 import pytest
 
 import quasiplanar as qp
+from quasiplanar import lattice
 
 
 def test_tables_of_capped_diamond():
@@ -137,3 +138,26 @@ def test_diagram_from_chains_rejects_unfit_orders():
     n, covers = qp.boolean_cube_covers()
     with pytest.raises(qp.NotSlimSemimodular, match="dimension"):
         qp.diagram_from_chains(n, covers, (0, 1, 3, 7), (0, 4, 6, 7))
+
+
+def test_tables_are_built_once_per_diagram_instance(monkeypatch):
+    built = []
+    compute = lattice._compute_tables
+    monkeypatch.setattr(
+        lattice, "_compute_tables", lambda d: built.append(d) or compute(d)
+    )
+    d = qp.capped_diamond()
+    t = qp.lattice_tables(d)
+    qp.require_slim_semimodular(d)
+    qp.boundary_chains(d)
+    qp.supports(d)
+    assert qp.lattice_tables(d) is t and len(built) == 1
+    # kept on the instance, not in a shared cache: an equal diagram builds anew
+    twin = qp.Diagram(d.lam_pos, d.rho_pos)
+    assert twin == d and qp.lattice_tables(twin) == t and len(built) == 2
+    # a failure is not kept
+    h = qp.hexagon()
+    for _ in range(2):
+        with pytest.raises(qp.NotALattice):
+            qp.lattice_tables(h)
+    assert len(built) == 4

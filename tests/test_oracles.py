@@ -1,0 +1,239 @@
+"""The fast constructions against their slow, definition-level versions.
+
+A diagram is built from its two sweep positions; every construction that
+used to assemble order and left masks by hand now computes positions
+instead.  The mask-building versions live on here as oracles.
+"""
+
+from itertools import permutations
+
+import pytest
+
+import quasiplanar as qp
+from quasiplanar.diagram import bits
+
+FIELDS = ("n", "up", "lft", "dn", "rgt", "upcov", "dncov", "bottom", "top",
+          "lam_pos", "rho_pos", "lam_order", "rho_order")
+
+
+def _masks(d):
+    return d.n, d.up, d.lft
+
+
+def _relabelled(max_size):
+    """Every diagram through ``max_size``, canonically labeled and shuffled."""
+    for size in range(2, max_size + 1):
+        for q in qp.enumerate_quasiplanar(size):
+            yield q
+            yield qp.relabel(q, tuple(reversed(range(size))))
+            yield qp.relabel(q, tuple(range(1, size)) + (0,))
+
+
+# -- Diagram(lam_pos, rho_pos) against pairwise dominance ------------------
+
+
+def _dominance(lam, rho):
+    n = len(lam)
+
+    def leq(x, y):
+        return lam[x] <= lam[y] and rho[x] <= rho[y]
+
+    def mask(pred, x):
+        return sum(1 << y for y in range(n) if pred(x, y))
+
+    def covers(x, y):
+        return x != y and leq(x, y) and not any(
+            z not in (x, y) and leq(x, z) and leq(z, y) for z in range(n)
+        )
+
+    up = tuple(mask(leq, x) for x in range(n))
+    dn = tuple(mask(lambda x, y: leq(y, x), x) for x in range(n))
+    return {
+        "n": n,
+        "up": up,
+        "dn": dn,
+        "lft": tuple(
+            mask(lambda x, y: lam[x] < lam[y] and rho[x] > rho[y], x)
+            for x in range(n)
+        ),
+        "rgt": tuple(
+            mask(lambda x, y: lam[x] > lam[y] and rho[x] < rho[y], x)
+            for x in range(n)
+        ),
+        "upcov": tuple(mask(covers, x) for x in range(n)),
+        "dncov": tuple(mask(lambda x, y: covers(y, x), x) for x in range(n)),
+        "bottom": next(x for x in range(n) if dn[x] == 1 << x),
+        "top": next(x for x in range(n) if up[x] == 1 << x),
+        "lam_pos": tuple(lam),
+        "rho_pos": tuple(rho),
+        "lam_order": tuple(sorted(range(n), key=lam.__getitem__)),
+        "rho_order": tuple(sorted(range(n), key=rho.__getitem__)),
+    }
+
+
+def test_positions_derive_the_dominance_order():
+    valid = {}
+    for n in range(1, 6):
+        valid[n] = 0
+        for lam in permutations(range(n)):
+            lam_order = sorted(range(n), key=lam.__getitem__)
+            for rho in permutations(range(n)):
+                rho_order = sorted(range(n), key=rho.__getitem__)
+                if (lam_order[0], lam_order[-1]) != (rho_order[0], rho_order[-1]):
+                    with pytest.raises(qp.NotBounded):
+                        qp.Diagram(lam, rho)
+                    continue
+                d = qp.Diagram(lam, rho)
+                want = _dominance(lam, rho)
+                assert {f: getattr(d, f) for f in FIELDS} == want
+                valid[n] += 1
+    # n! choices of lam_pos, (n - 2)! of rho_pos sharing its first and last
+    assert valid == {1: 1, 2: 2, 3: 6, 4: 48, 5: 720}
+
+
+def test_positions_are_the_identity():
+    d = qp.capped_diamond()
+    assert qp.Diagram(list(d.lam_pos), iter(d.rho_pos)) == d
+    assert hash(qp.Diagram(d.lam_pos, d.rho_pos)) == hash(d)
+    assert qp.Diagram(d.lam_pos, d.rho_pos) != qp.mirror(d)
+
+
+# -- the mask-loop versions of the position-built constructions ------------
+
+
+def _mirror_by_masks(d):
+    return d.n, d.up, d.rgt
+
+
+def _relabel_by_masks(d, new_of_old):
+    n = d.n
+    up = [0] * n
+    lft = [0] * n
+    for x in range(n):
+        nx = new_of_old[x]
+        for y in bits(d.up[x]):
+            up[nx] |= 1 << new_of_old[y]
+        for y in bits(d.lft[x]):
+            lft[nx] |= 1 << new_of_old[y]
+    return n, tuple(up), tuple(lft)
+
+
+def _restrict_by_masks(d, members, offset):
+    """Masks induced on sorted ``members``, relabeled from ``offset``."""
+    new_of_old = {old: new + offset for new, old in enumerate(members)}
+    m = len(members) + offset
+    up = [0] * m
+    lft = [0] * m
+    for old in members:
+        new = new_of_old[old]
+        for y in bits(d.up[old]):
+            if y in new_of_old:
+                up[new] |= 1 << new_of_old[y]
+        for y in bits(d.lft[old]):
+            if y in new_of_old:
+                lft[new] |= 1 << new_of_old[y]
+    return up, lft
+
+
+def _interval_by_masks(d, lo, hi):
+    up, lft = _restrict_by_masks(d, sorted(bits(d.up[lo] & d.dn[hi])), 0)
+    return len(up), tuple(up), tuple(lft)
+
+
+def _to_quasiplanar_by_masks(d):
+    t = qp.require_slim_semimodular(d)
+    up, lft = _restrict_by_masks(d, sorted(t.mir | {d.top}), 1)
+    up[0] = (1 << len(up)) - 1
+    return len(up), tuple(up), tuple(lft)
+
+
+def test_mirror_and_relabel_match_the_mask_loops():
+    for d in _relabelled(6):
+        assert _masks(qp.mirror(d)) == _mirror_by_masks(d)
+        n = d.n
+        for new_of_old in (
+            tuple(range(n)),
+            tuple(reversed(range(n))),
+            tuple(range(1, n)) + (0,),
+            d.lam_pos,
+            d.rho_pos,
+        ):
+            got = qp.relabel(d, new_of_old)
+            assert _masks(got) == _relabel_by_masks(d, new_of_old)
+        assert qp.canonical_relabel(d) == qp.relabel(d, d.lam_pos)
+
+
+def test_interval_subdiagram_matches_the_mask_loop():
+    for d in _relabelled(6):
+        for lo in range(d.n):
+            for hi in bits(d.up[lo]):
+                got = qp.interval_subdiagram(d, lo, hi)
+                assert _masks(got) == _interval_by_masks(d, lo, hi)
+
+
+def test_to_quasiplanar_matches_the_mask_loop():
+    for q in _relabelled(6):
+        for lat in (qp.lattice_from_filters(q), qp.lattice_from_pairs(q)):
+            for d in (lat, qp.relabel(lat, tuple(reversed(range(lat.n))))):
+                assert _masks(qp.to_quasiplanar(d)) == _to_quasiplanar_by_masks(d)
+
+
+# -- the two lattice constructions against their definitions ---------------
+
+
+def _beta1_by_definition(q):
+    pairs = qp.weak_left_pairs(q)
+    keys = [(q.lam_pos[x], q.rho_pos[y]) for x, y in pairs]
+    m = len(pairs)
+    order = [
+        (i, j)
+        for i in range(m)
+        for j in range(m)
+        if i != j and keys[i][0] <= keys[j][0] and keys[i][1] <= keys[j][1]
+    ]
+    left = [
+        (i, j)
+        for i in range(m)
+        for j in range(m)
+        if keys[i][0] < keys[j][0] and keys[i][1] > keys[j][1]
+    ]
+    return qp.validate(m, order, left), pairs
+
+
+def _beta2_by_definition(q):
+    filters = qp.enumerate_hco_filters(q).filters
+    m = len(filters)
+    keys = []
+    for f in filters:
+        mins = [z for z in f if not any(q.lt(w, z) for w in f)]
+        lmost = min(mins, key=q.lam_pos.__getitem__)
+        rmost = max(mins, key=q.lam_pos.__getitem__)
+        keys.append((q.lam_pos[lmost], q.rho_pos[rmost]))
+    order = [
+        (i, j)
+        for i in range(m)
+        for j in range(m)
+        if i != j and filters[j] <= filters[i]
+    ]
+    left = [
+        (i, j)
+        for i in range(m)
+        for j in range(m)
+        if not (filters[j] <= filters[i] or filters[i] <= filters[j])
+        and keys[i][0] < keys[j][0]
+        and keys[i][1] > keys[j][1]
+    ]
+    return qp.validate(m, order, left), filters
+
+
+def test_both_lattices_match_their_definitions():
+    for q in _relabelled(7):
+        for fast, slow in (
+            (qp.lattice_from_pairs_labeled, _beta1_by_definition),
+            (qp.lattice_from_filters_labeled, _beta2_by_definition),
+        ):
+            got, got_labels = fast(q)
+            want, want_labels = slow(q)
+            assert got_labels == want_labels
+            for f in FIELDS:
+                assert getattr(got, f) == getattr(want, f), f
