@@ -28,7 +28,7 @@ from .diagram import (
     revalidate,
     similar,
 )
-from .errors import SizeTooLarge
+from .errors import LawViolation, SizeTooLarge
 from .lattice import (
     irredundant_meet_representations,
     is_join_distributive,
@@ -37,6 +37,7 @@ from .lattice import (
     supports,
 )
 from .transform import (
+    _ground_mask,
     antimatroid_of,
     enumerate_hco_filters,
     hco_closure,
@@ -345,22 +346,57 @@ class _Ctx:
         return self._closures[key]
 
 
+def _require(holds, message, *args):
+    """Raise LawViolation(message.format(*args)) unless ``holds``.
+
+    A law body states each check with this, never with ``assert``, so the
+    suite still checks under ``python -O``.  The message is formatted only
+    on failure.
+    """
+    if not holds:
+        raise LawViolation(message.format(*args))
+
+
+def _is_hco_filter(d, ground, mask):
+    """Whether ``mask`` is a horizontally convex filter, by the definition."""
+    for x in bits(mask):
+        if d.up[x] & ~mask:
+            return False
+    for y in bits(ground & ~mask):
+        if d.rgt[y] & mask and d.lft[y] & mask:
+            return False
+    return True
+
+
+def _hco_filters_by_definition(d):
+    """Every horizontally convex filter of ``d``, found by testing all 2^n sets.
+
+    The reference for :func:`~quasiplanar.transform.enumerate_hco_filters`,
+    which builds one filter per weak left pair instead.
+    """
+    ground = _ground_mask(d)
+    return {
+        frozenset(bits(m)) for m in range(1, 1 << d.n)
+        if not m & ~ground and _is_hco_filter(d, ground, m)
+    }
+
+
 def _check_validation(c):
-    assert revalidate(c.q) == c.q, "revalidation changed the diagram"
+    _require(revalidate(c.q) == c.q, "revalidation changed the diagram")
 
 
 def _check_filter_lattice_structure(c):
     require_slim_semimodular(c.beta2)
-    assert is_join_distributive(c.beta2), "filter lattice is not join distributive"
+    _require(is_join_distributive(c.beta2), "filter lattice is not join distributive")
 
 
 def _check_pair_lattice_structure(c):
     require_slim_semimodular(c.beta1)
-    assert is_join_distributive(c.beta1), "pair lattice is not join distributive"
+    _require(is_join_distributive(c.beta1), "pair lattice is not join distributive")
 
 
 def _check_lattices_agree(c):
-    assert similar(c.beta1, c.beta2), "pair and filter lattices are dissimilar"
+    _require(similar(c.beta1, c.beta2), "pair and filter lattices are dissimilar")
     to_filter, _ = c.maps
     _, pair_labels = c.beta1_labeled
     m = [c.filter_index[to_filter[p]] for p in pair_labels]
@@ -369,11 +405,13 @@ def _check_lattices_agree(c):
         for j in range(b1.n):
             if i == j:
                 continue
-            assert b1.leq(i, j) == b2.leq(m[i], m[j]), (
-                f"closure map breaks order at pairs {i}, {j}"
+            _require(
+                b1.leq(i, j) == b2.leq(m[i], m[j]),
+                "closure map breaks order at pairs {}, {}", i, j,
             )
-            assert b1.left(i, j) == b2.left(m[i], m[j]), (
-                f"closure map breaks left at pairs {i}, {j}"
+            _require(
+                b1.left(i, j) == b2.left(m[i], m[j]),
+                "closure map breaks left at pairs {}, {}", i, j,
             )
 
 
@@ -386,8 +424,9 @@ def _check_closure_betweenness(c):
         upmask = 0
         for z in min_between(c.q, *p):
             upmask |= c.q.up[z]
-        assert c.closure(p) == frozenset(bits(upmask)), (
-            f"closure of {p} is not the up-set of its betweenness minima"
+        _require(
+            c.closure(p) == frozenset(bits(upmask)),
+            "closure of {} is not the up-set of its betweenness minima", p,
         )
 
 
@@ -395,17 +434,19 @@ def _check_closure_laws(c):
     q = c.q
     ground = [x for x in range(q.n) if x != q.bottom]
     for x1, x2, x3 in combinations(ground, 3):
-        assert (
+        _require(
             x1 in c.closure((x2, x3))
             or x2 in c.closure((x1, x3))
-            or x3 in c.closure((x1, x2))
-        ), f"no element of {(x1, x2, x3)} closes over the other two"
+            or x3 in c.closure((x1, x2)),
+            "no element of {} closes over the other two", (x1, x2, x3),
+        )
     for x1, x2 in c.pairs:
         cl = c.closure((x1, x2))
         for x3 in ground:
             if q.lt(x3, x1):
-                assert x3 not in cl, (
-                    f"{x3} below {x1} invades the closure of {(x1, x2)}"
+                _require(
+                    x3 not in cl,
+                    "{} below {} invades the closure of {}", x3, x1, (x1, x2),
                 )
     gmask = 0
     for x in ground:
@@ -413,29 +454,33 @@ def _check_closure_laws(c):
     for x1 in ground:
         for x2 in bits(q.lft[x1] & gmask):
             for x3 in bits(q.lft[x2] & gmask):
-                assert x1 not in c.closure((x2, x3)), (
-                    f"{x1} enters the closure of {(x2, x3)} from the left"
+                _require(
+                    x1 not in c.closure((x2, x3)),
+                    "{} enters the closure of {} from the left", x1, (x2, x3),
                 )
-                assert x3 not in c.closure((x1, x2)), (
-                    f"{x3} enters the closure of {(x1, x2)} from the right"
+                _require(
+                    x3 not in c.closure((x1, x2)),
+                    "{} enters the closure of {} from the right", x3, (x1, x2),
                 )
 
 
 def _check_rebuild_from_pairs(c):
-    assert similar(to_quasiplanar(c.beta1), c.q), (
-        "rebuilding from the pair lattice lost the diagram"
+    _require(
+        similar(to_quasiplanar(c.beta1), c.q),
+        "rebuilding from the pair lattice lost the diagram",
     )
 
 
 def _check_rebuild_from_filters(c):
-    assert similar(to_quasiplanar(c.beta2), c.q), (
-        "rebuilding from the filter lattice lost the diagram"
+    _require(
+        similar(to_quasiplanar(c.beta2), c.q),
+        "rebuilding from the filter lattice lost the diagram",
     )
 
 
 def _check_double_round_trip(c):
     again = lattice_from_filters(to_quasiplanar(c.beta2))
-    assert similar(again, c.beta2), "filter lattice drifts under a round trip"
+    _require(similar(again, c.beta2), "filter lattice drifts under a round trip")
 
 
 def _check_antimatroid(c):
@@ -447,27 +492,40 @@ def _check_peelings(c):
     known = set(fam.filters)
     for chain in (fam.left_chain, fam.right_chain):
         for f in chain:
-            assert f in known, f"peel member {sorted(f)} is not a filter"
+            _require(f in known, "peel member {} is not a filter", sorted(f))
         for a, b in zip(chain, chain[1:]):
-            assert b < a and len(a - b) == 1, "peel step must remove one element"
+            _require(
+                b < a and len(a - b) == 1, "peel step must remove one element"
+            )
     lc = tuple(c.filter_index[f] for f in fam.left_chain)
     rc = tuple(c.filter_index[f] for f in fam.right_chain)
-    assert boundary_chains(c.beta2) == (lc, rc), (
-        "peel chains are not the boundary chains"
+    _require(
+        boundary_chains(c.beta2) == (lc, rc),
+        "peel chains are not the boundary chains",
     )
 
 
 def _check_peel_intersections(c):
     fam = c.fam
     got = {a & b for a in fam.left_chain for b in fam.right_chain}
-    assert got == set(fam.filters), (
-        "filters are not exactly the peel chain intersections"
+    _require(
+        got == set(fam.filters),
+        "filters are not exactly the peel chain intersections",
     )
 
 
 def _check_counts_agree(c):
-    assert len(c.fam.filters) == len(c.pairs), (
-        f"{len(c.fam.filters)} filters against {len(c.pairs)} weak pairs"
+    # the family is built from the weak pairs, so it is held against the
+    # definition-level scan, not only counted
+    want = _hco_filters_by_definition(c.q)
+    _require(
+        set(c.fam.filters) == want,
+        "the filter family differs from the definition-level scan",
+    )
+    _require(
+        len(c.fam.filters) == len(want) == len(c.pairs),
+        "{} filters ({} by definition) against {} weak pairs",
+        len(c.fam.filters), len(want), len(c.pairs),
     )
 
 
@@ -489,25 +547,31 @@ def _check_supports(c):
                 lrank[sup.lsp[x]] <= lrank[sup.lsp[y]]
                 and rrank[sup.rsp[x]] <= rrank[sup.rsp[y]]
             )
-            assert d.leq(x, y) == below, (
-                f"support ranks disagree with order at ({x}, {y})"
+            _require(
+                d.leq(x, y) == below,
+                "support ranks disagree with order at ({}, {})", x, y,
             )
             lft = (
                 lrank[sup.lsp[x]] > lrank[sup.lsp[y]]
                 and rrank[sup.rsp[x]] < rrank[sup.rsp[y]]
             )
-            assert d.left(x, y) == lft, (
-                f"support ranks disagree with left at ({x}, {y})"
+            _require(
+                d.left(x, y) == lft,
+                "support ranks disagree with left at ({}, {})", x, y,
             )
     _, to_pair = c.maps
     filters = c.beta2_labeled[1]
     for i, f in enumerate(filters):
         lm, rm = to_pair[f]
-        assert sup.lds[i] == c.filter_index[frozenset(bits(c.q.up[lm]))], (
-            f"left dual support of element {i} is not the leftmost principal filter"
+        _require(
+            sup.lds[i] == c.filter_index[frozenset(bits(c.q.up[lm]))],
+            "left dual support of element {} is not the leftmost principal filter",
+            i,
         )
-        assert sup.rds[i] == c.filter_index[frozenset(bits(c.q.up[rm]))], (
-            f"right dual support of element {i} is not the rightmost principal filter"
+        _require(
+            sup.rds[i] == c.filter_index[frozenset(bits(c.q.up[rm]))],
+            "right dual support of element {} is not the rightmost principal filter",
+            i,
         )
 
 
@@ -521,8 +585,9 @@ def _check_meet_representations(c):
             want = [frozenset()]
         else:
             want = [frozenset({sup.lds[x], sup.rds[x]})]
-        assert reps == want, (
-            f"element {x} has meet representations {reps}, expected {want}"
+        _require(
+            reps == want,
+            "element {} has meet representations {}, expected {}", x, reps, want,
         )
 
 
@@ -533,8 +598,9 @@ def _check_mir_absorption(c):
         for higher in bits(d.up[a] & ~(1 << a)):
             for b in range(d.n):
                 if d.leq(t.meet[b][higher], a):
-                    assert d.leq(b, a), (
-                        f"meet with {higher} drops {b} below irreducible {a}"
+                    _require(
+                        d.leq(b, a),
+                        "meet with {} drops {} below irreducible {}", higher, b, a,
                     )
 
 
@@ -548,8 +614,9 @@ def _check_betweenness_positions(c):
                     q.lam_pos[x] <= q.lam_pos[z] <= q.lam_pos[y]
                     and q.rho_pos[y] <= q.rho_pos[z] <= q.rho_pos[x]
                 )
-                assert between == sandwich, (
-                    f"betweenness and sweep positions disagree at {(x, z, y)}"
+                _require(
+                    between == sandwich,
+                    "betweenness and sweep positions disagree at {}", (x, z, y),
                 )
 
 
@@ -560,21 +627,27 @@ def _check_chain_sides(c):
         for x in range(q.n):
             side = chain_side(q, chain, x)
             if x in members:
-                assert side == "on"
+                _require(
+                    side == "on", "element {} of the chain {} is not on it",
+                    x, chain,
+                )
             else:
-                assert side in ("left", "right"), (
-                    f"element {x} straddles the chain {chain}"
+                _require(
+                    side in ("left", "right"),
+                    "element {} straddles the chain {}", x, chain,
                 )
     d = c.beta2
     lc, rc = boundary_chains(d)
     for x in range(d.n):
         if x not in lc:
-            assert chain_side(d, lc, x) == "right", (
-                f"element {x} escapes the left boundary"
+            _require(
+                chain_side(d, lc, x) == "right",
+                "element {} escapes the left boundary", x,
             )
         if x not in rc:
-            assert chain_side(d, rc, x) == "left", (
-                f"element {x} escapes the right boundary"
+            _require(
+                chain_side(d, rc, x) == "left",
+                "element {} escapes the right boundary", x,
             )
 
 

@@ -55,6 +55,15 @@ class ChainsDoNotCoverJir(ValueError):
     """The prescribed boundary chains miss a join-irreducible element."""
 
 
+class LawViolation(ValueError):
+    """A structural law that must hold for every valid input failed.
+
+    Raised by the law suite and by the self-checks of the constructions
+    that verify their own results; a plain exception rather than an
+    ``assert``, so the checks still run under ``python -O``.
+    """
+
+
 class InvalidGroundElement(ValueError):
     """A closure argument mentions the bottom element or an unknown element."""
 

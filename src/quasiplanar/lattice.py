@@ -17,6 +17,8 @@ from itertools import combinations
 
 from .diagram import (
     _dominance_diagram,
+    _maximal_in,
+    _minimal_in,
     bits,
     boundary_chains,
     mirror,
@@ -29,6 +31,7 @@ from .errors import (
     NotALattice,
     NotAPartialOrder,
     NotBounded,
+    LawViolation,
     NotSlimSemimodular,
 )
 
@@ -55,6 +58,15 @@ class LatticeTables:
 def lattice_tables(d):
     """Compute tables for a lattice diagram, or raise NotALattice with a witness.
 
+    The join of x and y is the first common upper bound in the
+    left-to-right sweep, because the sweep lists every upper bound of the
+    join after it; it is accepted when one mask test shows that it lies
+    below all the others.  Dually the meet is the last common lower bound.
+    A pair failing that test has no join (meet), and only then are its
+    minimal upper (maximal lower) bounds listed for the witness.  That is
+    O(n^2) big-integer operations; the tests compare the result with the
+    minimal-bounds search for every pair.
+
     The tables are computed once per diagram instance and kept on it; a
     failure is not kept, so asking again raises again.
     """
@@ -63,31 +75,62 @@ def lattice_tables(d):
     return d._tables
 
 
+def _sweep_masks(d):
+    """The ``up`` and ``dn`` masks re-indexed by left-to-right sweep position.
+
+    y >= x exactly when y comes at or after x in both sweeps, so walking
+    the right-to-left sweep and cutting the positions seen so far at x's
+    own position gives each mask in O(1) big-integer operations.
+    """
+    upl, dnl = [0] * d.n, [0] * d.n
+    seen = 0
+    for x in d.rho_order:
+        p = d.lam_pos[x]
+        seen |= 1 << p
+        dnl[x] = seen & ((2 << p) - 1)
+    seen = 0
+    for x in reversed(d.rho_order):
+        p = d.lam_pos[x]
+        seen |= 1 << p
+        upl[x] = seen >> p << p
+    return upl, dnl
+
+
+def _no_bound(d, x, y, above):
+    """NotALattice for x and y, which lack a join (``above``) or a meet."""
+    if above:
+        found, what = _minimal_in(d, d.up[x] & d.up[y]), "minimal upper"
+    else:
+        found, what = _maximal_in(d, d.dn[x] & d.dn[y]), "maximal lower"
+    return NotALattice(
+        f"elements {x} and {y} have {what} bounds {found[0]} and {found[1]}",
+        witness=(x, y, found[0], found[1]),
+    )
+
+
 def _compute_tables(d):
     n = d.n
+    order = d.lam_order
+    upl, dnl = _sweep_masks(d)
     join = [[0] * n for _ in range(n)]
     meet = [[0] * n for _ in range(n)]
     for x in range(n):
-        join[x][x] = meet[x][x] = x
+        join_x, meet_x = join[x], meet[x]
+        join_x[x] = meet_x[x] = x
+        up_x, dn_x = upl[x], dnl[x]
         for y in range(x + 1, n):
-            common = d.up[x] & d.up[y]
-            mins = [z for z in bits(common) if not (d.dn[z] & ~(1 << z) & common)]
-            if len(mins) > 1:
-                raise NotALattice(
-                    f"elements {x} and {y} have minimal upper bounds "
-                    f"{mins[0]} and {mins[1]}",
-                    witness=(x, y, mins[0], mins[1]),
-                )
-            join[x][y] = join[y][x] = mins[0]
-            common = d.dn[x] & d.dn[y]
-            maxs = [z for z in bits(common) if not (d.up[z] & ~(1 << z) & common)]
-            if len(maxs) > 1:
-                raise NotALattice(
-                    f"elements {x} and {y} have maximal lower bounds "
-                    f"{maxs[0]} and {maxs[1]}",
-                    witness=(x, y, maxs[0], maxs[1]),
-                )
-            meet[x][y] = meet[y][x] = maxs[0]
+            # everything above a common upper bound is one too, so the
+            # first one is the join exactly when nothing else is common
+            common = up_x & upl[y]
+            j = order[(common & -common).bit_length() - 1]
+            if common != upl[j]:
+                raise _no_bound(d, x, y, above=True)
+            join_x[y] = join[y][x] = j
+            common = dn_x & dnl[y]
+            m = order[common.bit_length() - 1]
+            if common != dnl[m]:
+                raise _no_bound(d, x, y, above=False)
+            meet_x[y] = meet[y][x] = m
     jir = frozenset(
         x for x in range(n) if x != d.bottom and d.dncov[x].bit_count() == 1
     )
@@ -187,7 +230,10 @@ class SupportData:
 
 
 def supports(d):
-    """Compute the four support maps and check their laws."""
+    """Compute the four support maps and check their laws.
+
+    A failed law raises LawViolation.
+    """
     t = require_slim_semimodular(d)
     left_chain, right_chain = boundary_chains(d)
     # chains run bottom to top, so the last member below x is the support
@@ -211,11 +257,10 @@ def supports(d):
         lds.append(min(mins, key=d.lam_pos.__getitem__))
         rds.append(max(mins, key=d.lam_pos.__getitem__))
     for x in range(d.n):
-        assert t.join[lsp[x]][rsp[x]] == x, "element is not the join of its supports"
-        if x != d.top:
-            assert t.meet[lds[x]][rds[x]] == x, (
-                "element is not the meet of its dual supports"
-            )
+        if t.join[lsp[x]][rsp[x]] != x:
+            raise LawViolation("element is not the join of its supports")
+        if x != d.top and t.meet[lds[x]][rds[x]] != x:
+            raise LawViolation("element is not the meet of its dual supports")
     return SupportData(tuple(lsp), tuple(rsp), tuple(lds), tuple(rds))
 
 
@@ -316,7 +361,8 @@ def diagram_from_chains(n, covers, left_chain, right_chain):
                 if lsp[x] > lsp[y] and rsp[x] < rsp[y]:
                     left.append((x, y))
     d = validate(n, covers, left)
-    assert boundary_chains(d) == (left_chain, right_chain), (
-        "reconstructed diagram does not produce the prescribed chains"
-    )
+    if boundary_chains(d) != (left_chain, right_chain):
+        raise LawViolation(
+            "reconstructed diagram does not produce the prescribed chains"
+        )
     return d

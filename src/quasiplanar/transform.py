@@ -10,6 +10,14 @@ componentwise along the two sweeps.  Both constructions are built here,
 together with the reciprocal maps between pairs and filters, the inverse
 construction recovering Q from a slim semimodular lattice diagram, and the
 antimatroid of filter complements.
+
+The filters are never searched for: each weak left pair (x, y) yields one,
+the up-closure of the elements weakly between x and y, and every filter
+arises from exactly one pair.  That takes O(n) mask operations per pair
+instead of a test of all 2^n subsets.  The definition-level scan lives on
+in :mod:`quasiplanar.enumeration` as the oracle of the law "filters and weak
+pairs are equinumerous", and :func:`pair_filter_maps` recomputes each
+filter's pair independently of the construction.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .diagram import _dominance_diagram, _maximal_in, _minimal_in, bits
-from .errors import InvalidGroundElement
+from .errors import InvalidGroundElement, LawViolation
 from .lattice import require_slim_semimodular
 
 WeakLeftPair = tuple[int, int]
@@ -50,12 +58,14 @@ def weak_left_pairs(d):
 class FilterFamily:
     """Every horizontally convex filter of a diagram, plus its two peelings.
 
-    ``filters`` is sorted by (size, elements) and is the label order used by
-    :func:`lattice_from_filters`.  ``left_chain`` and ``right_chain`` run
-    from the full ground set down to the singleton top, shrinking by one
-    element per step; ``left_steps[i]`` is the element removed from
-    ``left_chain[i]``, dually for the right.  Under reverse inclusion the
-    chains are the two boundary chains of the filter lattice.
+    ``filters`` holds one filter per weak left pair, the up-closure of the
+    elements weakly between its legs, sorted by (size, elements); that is
+    the label order used by :func:`lattice_from_filters`.  ``left_chain``
+    and ``right_chain`` run from the full ground set down to the singleton
+    top, shrinking by one element per step; ``left_steps[i]`` is the
+    element removed from ``left_chain[i]``, dually for the right.  Under
+    reverse inclusion the chains are the two boundary chains of the filter
+    lattice.
     """
 
     filters: tuple[frozenset[int], ...]
@@ -63,16 +73,6 @@ class FilterFamily:
     right_chain: tuple[frozenset[int], ...]
     left_steps: tuple[int, ...]
     right_steps: tuple[int, ...]
-
-
-def _is_hco_filter(d, mask):
-    for x in bits(mask):
-        if d.up[x] & ~mask:
-            return False
-    for y in bits(_ground_mask(d) & ~mask):
-        if d.rgt[y] & mask and d.lft[y] & mask:
-            return False
-    return True
 
 
 def _peel(d, leftmost):
@@ -99,22 +99,34 @@ def _peel(d, leftmost):
     return chain, steps
 
 
+def _pair_filters(d):
+    """(size, elements, pair) of each weak left pair's filter, in label order.
+
+    The filter of (x, y) is the up-closure of the elements z with x equal to
+    or left of z and z equal to or left of y.
+    """
+    found = []
+    for x, y in weak_left_pairs(d):
+        mask = 0
+        for z in bits((d.lft[x] | 1 << x) & (d.rgt[y] | 1 << y)):
+            mask |= d.up[z]
+        found.append((mask.bit_count(), list(bits(mask)), (x, y)))
+    found.sort()
+    return found
+
+
 def enumerate_hco_filters(d):
-    """Collect every horizontally convex filter of ``d`` into a family."""
-    if d.bottom == d.top:
-        raise ValueError("diagram must have distinct bottom and top")
-    ground = _ground_mask(d)
-    masks = [
-        m for m in range(1, 1 << d.n)
-        if not m & ~ground and _is_hco_filter(d, m)
-    ]
-    filters = sorted(
-        (frozenset(bits(m)) for m in masks), key=lambda f: (len(f), sorted(f))
-    )
+    """Collect every horizontally convex filter of ``d`` into a family.
+
+    Built from the weak left pairs, one filter each, in O(n) mask
+    operations per pair; the law suite compares the result with a scan of
+    every subset against the definition.
+    """
+    filters = tuple(frozenset(elems) for _, elems, _ in _pair_filters(d))
     left_chain, left_steps = _peel(d, leftmost=True)
     right_chain, right_steps = _peel(d, leftmost=False)
     return FilterFamily(
-        tuple(filters),
+        filters,
         tuple(frozenset(bits(m)) for m in left_chain),
         tuple(frozenset(bits(m)) for m in right_chain),
         tuple(left_steps),
@@ -209,16 +221,17 @@ def lattice_from_filters_labeled(d):
     rightmost minimal element strictly after G's in the reverse sweep.
     Both relations are read off the key (sweep position of the leftmost,
     reverse position of the rightmost minimal element) as in
-    :func:`lattice_from_pairs`: the keys ordered componentwise are the
-    filters ordered by reverse inclusion, which the law "pair and filter
-    maps are reciprocal" checks.  Returns (diagram, labels) with
-    ``labels[i]`` the filter carried by element i.
+    :func:`lattice_from_pairs`.  Each filter is built from a weak left
+    pair (x, y), and x and y are its leftmost and rightmost minimal
+    elements, so the key is taken straight from the pair.  That the keys
+    ordered componentwise are the filters ordered by reverse inclusion,
+    and that each filter's minimal elements give back its pair, is
+    checked by the law "pair and filter maps are reciprocal".  Returns
+    (diagram, labels) with ``labels[i]`` the filter carried by element i.
     """
-    filters = enumerate_hco_filters(d).filters
-    keys = []
-    for f in filters:
-        lmost, rmost = _pair_key(d, f)
-        keys.append((d.lam_pos[lmost], d.rho_pos[rmost]))
+    found = _pair_filters(d)
+    keys = [(d.lam_pos[x], d.rho_pos[y]) for _, _, (x, y) in found]
+    filters = tuple(frozenset(elems) for _, elems, _ in found)
     return _dominance_diagram(keys), filters
 
 
@@ -233,28 +246,30 @@ def pair_filter_maps(d):
     Returns (to_filter, to_pair): the closure of a pair's two legs on one
     side, the (leftmost, rightmost) minimal elements on the other.  The
     maps are checked to invert each other and to carry the componentwise
-    pair order to reverse inclusion.
+    pair order to reverse inclusion; a failure raises LawViolation.
     """
     fam = enumerate_hco_filters(d)
     pairs = weak_left_pairs(d)
     to_filter = {p: hco_closure(d, p, fam) for p in pairs}
     to_pair = {f: _pair_key(d, f) for f in fam.filters}
-    assert sorted(to_filter.values(), key=sorted) == sorted(
-        fam.filters, key=sorted
-    ), "pair closures do not exhaust the filters"
+    if sorted(to_filter.values(), key=sorted) != sorted(fam.filters, key=sorted):
+        raise LawViolation("pair closures do not exhaust the filters")
     for p in pairs:
-        assert to_pair[to_filter[p]] == p, f"round trip moved the pair {p}"
+        if to_pair[to_filter[p]] != p:
+            raise LawViolation(f"round trip moved the pair {p}")
     for f in fam.filters:
-        assert to_filter[to_pair[f]] == f, f"round trip moved a filter {sorted(f)}"
+        if to_filter[to_pair[f]] != f:
+            raise LawViolation(f"round trip moved a filter {sorted(f)}")
     for p1 in pairs:
         for p2 in pairs:
             below = (
                 d.lam_pos[p1[0]] <= d.lam_pos[p2[0]]
                 and d.rho_pos[p1[1]] <= d.rho_pos[p2[1]]
             )
-            assert below == (to_filter[p2] <= to_filter[p1]), (
-                f"pair order and filter order disagree at {p1}, {p2}"
-            )
+            if below != (to_filter[p2] <= to_filter[p1]):
+                raise LawViolation(
+                    f"pair order and filter order disagree at {p1}, {p2}"
+                )
     return to_filter, to_pair
 
 
@@ -287,25 +302,28 @@ def antimatroid_of(d):
     Feasible sets are the complements of the horizontally convex filters
     within the ground set between bottom and top.  The four defining laws
     (empty set feasible, accessibility, union closure, covering the
-    ground) are asserted before returning.
+    ground) are checked before returning; a failure raises LawViolation.
     """
     fam = enumerate_hco_filters(d)
     ground = frozenset(d.interior())
     full = frozenset(bits(_ground_mask(d)))
     feasible = frozenset(full - f for f in fam.filters)
-    assert frozenset() in feasible, "empty set must be feasible"
+    if frozenset() not in feasible:
+        raise LawViolation("empty set must be feasible")
     union = frozenset()
     for a in feasible:
         union |= a
-    assert union == ground, "feasible sets must cover the ground set"
+    if union != ground:
+        raise LawViolation("feasible sets must cover the ground set")
     for a in feasible:
         for b in feasible:
-            assert a | b in feasible, (
-                f"union of feasible sets {sorted(a)} and {sorted(b)} escapes"
-            )
+            if a | b not in feasible:
+                raise LawViolation(
+                    f"union of feasible sets {sorted(a)} and {sorted(b)} escapes"
+                )
     for a in feasible:
-        if a:
-            assert any(a - {x} in feasible for x in a), (
+        if a and not any(a - {x} in feasible for x in a):
+            raise LawViolation(
                 f"feasible set {sorted(a)} has no removable element"
             )
     return Antimatroid(ground, feasible)
@@ -317,7 +335,8 @@ def meet_irreducible_filters(d):
     The meet-irreducible elements of the filter lattice of ``d`` carry
     exactly the filters of the form "everything above x" for interior x,
     and the left relation transports along x -> that filter.  Both facts
-    are asserted; returns {x: its principal filter}.
+    are checked, a failure raising LawViolation; returns {x: its principal
+    filter}.
     """
     dd, filters = lattice_from_filters_labeled(d)
     t = require_slim_semimodular(dd)
@@ -325,14 +344,17 @@ def meet_irreducible_filters(d):
         x: frozenset(bits(d.up[x])) for x in d.interior()
     }
     from_mir = {filters[i] for i in t.mir}
-    assert set(principal.values()) == from_mir, (
-        "meet-irreducible filters are not the principal interior filters"
-    )
+    if set(principal.values()) != from_mir:
+        raise LawViolation(
+            "meet-irreducible filters are not the principal interior filters"
+        )
     index = {f: i for i, f in enumerate(filters)}
     for x in d.interior():
         for y in d.interior():
-            if d.incomparable(x, y):
-                assert d.left(x, y) == dd.left(
-                    index[principal[x]], index[principal[y]]
-                ), f"left relation does not transport at ({x}, {y})"
+            if d.incomparable(x, y) and d.left(x, y) != dd.left(
+                index[principal[x]], index[principal[y]]
+            ):
+                raise LawViolation(
+                    f"left relation does not transport at ({x}, {y})"
+                )
     return principal

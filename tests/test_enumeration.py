@@ -1,5 +1,10 @@
 """Enumeration, the independent oracle, and the law suite plumbing."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import quasiplanar as qp
@@ -198,3 +203,58 @@ def test_flipping_one_orientation_never_goes_unnoticed():
         except qp.DiagramError:
             continue
         assert not qp.similar(redrawn, d)
+
+
+def test_equinumerous_law_holds_the_family_to_the_definition(monkeypatch):
+    # swap the top filter for a set that is no filter: the count still
+    # matches, the definition-level scan does not
+    real = enumeration.enumerate_hco_filters
+
+    def forged(d):
+        fam = real(d)
+        top = frozenset({d.top})
+        bad = frozenset({d.top, d.interior()[0]})
+        if bad in fam.filters:
+            return fam
+        filters = tuple(bad if f == top else f for f in fam.filters)
+        return qp.FilterFamily(filters, *(
+            getattr(fam, k)
+            for k in ("left_chain", "right_chain", "left_steps", "right_steps")
+        ))
+
+    monkeypatch.setattr(enumeration, "enumerate_hco_filters", forged)
+    report = qp.verify_suite(5)
+    law = {r.name: r for r in report.results}["filters and weak pairs are equinumerous"]
+    assert not law.passed
+    assert "differs from the definition-level scan" in law.witness
+
+
+def test_broken_law_fails_under_python_O():
+    # python -O strips asserts; the law bodies and the self-checks of the
+    # constructions must still fail
+    script = """
+import quasiplanar as qp
+from quasiplanar import enumeration, transform
+assert False, "asserts are live"
+enumeration.similar = lambda d1, d2: False
+report = qp.verify_suite(5)
+failed = [r.name for r in report.results if not r.passed]
+transform._pair_key = lambda d, f: (d.top, d.top)
+try:
+    qp.pair_filter_maps(qp.capped_diamond())
+    raised = None
+except qp.LawViolation as e:
+    raised = str(e)
+print(report.passed, failed[0], raised)
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (
+        0,
+        "False pair and filter lattices agree round trip moved the pair (1, 2)\n",
+    ), proc.stderr

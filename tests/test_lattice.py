@@ -161,3 +161,13 @@ def test_tables_are_built_once_per_diagram_instance(monkeypatch):
         with pytest.raises(qp.NotALattice):
             qp.lattice_tables(h)
     assert len(built) == 4
+
+
+def test_self_checks_raise_law_violations(monkeypatch):
+    d = qp.capped_diamond()
+    lc, rc = qp.boundary_chains(d)
+    monkeypatch.setattr(lattice, "boundary_chains", lambda e: (lc, lc))
+    with pytest.raises(qp.LawViolation, match="join of its supports"):
+        qp.supports(d)
+    with pytest.raises(qp.LawViolation, match="prescribed chains"):
+        qp.diagram_from_chains(d.n, d.cover_pairs(), lc, rc)

@@ -2,12 +2,16 @@
 
 A diagram is built from its two sweep positions; every construction that
 used to assemble order and left masks by hand now computes positions
-instead.  The mask-building versions live on here as oracles.
+instead.  The mask-building versions live on here as oracles, next to a
+subset scan for the filter family and a minimal-bounds search for the
+lattice tables.
 """
 
+import random
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import quasiplanar as qp
 from quasiplanar.diagram import bits
@@ -237,3 +241,128 @@ def test_both_lattices_match_their_definitions():
             assert got_labels == want_labels
             for f in FIELDS:
                 assert getattr(got, f) == getattr(want, f), f
+
+
+# -- the filter family against the definition ------------------------------
+
+
+def _convex_filters_by_scan(d):
+    """Every nonempty up-set X above the bottom such that x left of y left
+    of z with x, z in X puts y in X, read off the predicates."""
+    ground = [x for x in range(d.n) if x != d.bottom]
+    upsets = [frozenset()]
+    # top first: every element above x is decided before x is
+    for x in sorted(ground, key=d.lam_pos.__getitem__, reverse=True):
+        above = [y for y in ground if d.lt(x, y)]
+        upsets += [u | {x} for u in upsets if all(y in u for y in above)]
+    return [
+        u for u in upsets
+        if u and not any(
+            d.left(a, y) and d.left(y, b)
+            for y in ground if y not in u
+            for a in u for b in u
+        )
+    ]
+
+
+def _assert_family_matches_the_scan(d):
+    fam = qp.enumerate_hco_filters(d)
+    want = _convex_filters_by_scan(d)
+    assert set(fam.filters) == set(want)
+    assert len(fam.filters) == len(want) == len(qp.weak_left_pairs(d))
+    assert list(fam.filters) == sorted(want, key=lambda f: (len(f), sorted(f)))
+
+
+def test_filter_family_matches_the_convexity_scan():
+    for size in range(3, 9):
+        for q in qp.enumerate_quasiplanar(size):
+            _assert_family_matches_the_scan(q)
+    for d in _relabelled(6):
+        if d.n > 2:
+            _assert_family_matches_the_scan(d)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(9, 14).flatmap(
+    lambda n: st.permutations(range(1, n - 1)).map(tuple)
+))
+def test_filter_family_matches_the_convexity_scan_on_samples(perm):
+    _assert_family_matches_the_scan(qp.from_canonical(perm))
+
+
+def test_filter_lattice_of_a_40_element_diagram():
+    perm = list(range(1, 39))
+    random.Random(40).shuffle(perm)
+    q = qp.from_canonical(perm)
+    beta2, filters = qp.lattice_from_filters_labeled(q)
+    assert beta2.n == len(filters) == len(qp.weak_left_pairs(q))
+    assert qp.similar(beta2, qp.lattice_from_pairs(q))
+    assert qp.similar(qp.to_quasiplanar(beta2), q)
+
+
+# -- the lattice tables against the minimal-bounds search ------------------
+
+
+def _bounds_by_search(d):
+    """Join and meet tables, or the first (message, witness) failure, by
+    listing the minimal upper and maximal lower bounds of every pair."""
+    n = d.n
+    join = [[x] * n for x in range(n)]
+    meet = [[x] * n for x in range(n)]
+    for x in range(n):
+        for y in range(x + 1, n):
+            for table, what, bounds, lower in (
+                (join, "minimal upper", lambda z: d.leq(x, z) and d.leq(y, z),
+                 lambda a, b: d.lt(a, b)),
+                (meet, "maximal lower", lambda z: d.leq(z, x) and d.leq(z, y),
+                 lambda a, b: d.lt(b, a)),
+            ):
+                common = [z for z in range(n) if bounds(z)]
+                best = [z for z in common if not any(lower(w, z) for w in common)]
+                if len(best) > 1:
+                    return (
+                        f"elements {x} and {y} have {what} bounds "
+                        f"{best[0]} and {best[1]}",
+                        (x, y, best[0], best[1]),
+                    )
+                table[x][y] = table[y][x] = best[0]
+    return join, meet
+
+
+def test_lattice_tables_match_the_minimal_bounds_search():
+    for q in _relabelled(7):
+        if q.n < 3:
+            continue
+        for lat in (qp.lattice_from_pairs(q), qp.lattice_from_filters(q)):
+            for d in (lat, qp.relabel(lat, tuple(reversed(range(lat.n))))):
+                join, meet = _bounds_by_search(d)
+                t = qp.lattice_tables(d)
+                assert t.join == tuple(map(tuple, join))
+                assert t.meet == tuple(map(tuple, meet))
+
+
+def test_not_a_lattice_messages_and_witnesses_are_unchanged():
+    with pytest.raises(qp.NotALattice) as exc:
+        qp.lattice_tables(qp.hexagon())
+    assert str(exc.value) == "elements 1 and 2 have minimal upper bounds 3 and 4"
+    assert exc.value.witness == (1, 2, 3, 4)
+    # a failing meet: the hexagon turned upside down
+    h = qp.hexagon()
+    upside_down = qp.Diagram(
+        [h.n - 1 - p for p in h.rho_pos], [h.n - 1 - p for p in h.lam_pos]
+    )
+    with pytest.raises(qp.NotALattice) as exc:
+        qp.lattice_tables(upside_down)
+    assert str(exc.value) == "elements 1 and 2 have maximal lower bounds 3 and 4"
+    assert exc.value.witness == (1, 2, 3, 4)
+    failures = 0
+    for d in _relabelled(7):
+        want = _bounds_by_search(d)
+        if isinstance(want[0], str):
+            failures += 1
+            with pytest.raises(qp.NotALattice) as exc:
+                qp.lattice_tables(d)
+            assert (str(exc.value), exc.value.witness) == want
+        else:
+            assert qp.is_lattice(d)
+    assert failures > 0

@@ -3,6 +3,7 @@
 import pytest
 
 import quasiplanar as qp
+from quasiplanar import transform
 
 
 def test_weak_left_pairs_of_capped_diamond():
@@ -158,3 +159,28 @@ def test_meet_irreducible_filters_of_capped_diamond():
         2: frozenset({2, 3, 4}),
         3: frozenset({3, 4}),
     }
+
+
+def test_self_checks_raise_law_violations(monkeypatch):
+    d = qp.capped_diamond()
+    real = transform.enumerate_hco_filters
+
+    def without_ground(q):
+        fam = real(q)
+        return qp.FilterFamily(fam.filters[:-1], *(
+            getattr(fam, k)
+            for k in ("left_chain", "right_chain", "left_steps", "right_steps")
+        ))
+
+    monkeypatch.setattr(transform, "enumerate_hco_filters", without_ground)
+    with pytest.raises(qp.LawViolation, match="empty set must be feasible"):
+        qp.antimatroid_of(d)
+    monkeypatch.undo()
+    real_labeled = transform.lattice_from_filters_labeled
+    monkeypatch.setattr(
+        transform, "lattice_from_filters_labeled",
+        lambda q: (qp.mirror(real_labeled(q)[0]), real_labeled(q)[1]),
+    )
+    with pytest.raises(qp.LawViolation, match="does not transport"):
+        qp.meet_irreducible_filters(d)
+    assert issubclass(qp.LawViolation, ValueError)
