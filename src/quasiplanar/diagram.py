@@ -26,6 +26,7 @@ inverts it, which is what makes exhaustive enumeration by size possible.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -111,15 +112,19 @@ class Diagram:
             dn.append(bl & br | bit)
             lft.append(al & br)
             rgt.append(bl & ar)
-        # y covers x when nothing follows x and precedes y in both sweeps
+        # y covers x when nothing follows x and precedes y in both sweeps;
+        # once the bound is rho[x] + 1, no later element can be a cover
         upcov, dncov = [0] * n, [0] * n
         for i, x in enumerate(lam_order):
             bound = n  # the lowest reverse position seen above x so far
-            for y in lam_order[i + 1:]:
+            for j in range(i + 1, n):
+                y = lam_order[j]
                 if rho[x] < rho[y] < bound:
                     upcov[x] |= 1 << y
                     dncov[y] |= 1 << x
                     bound = rho[y]
+                    if bound == rho[x] + 1:
+                        break
         for name, value in (
             ("lam_pos", lam), ("rho_pos", rho), ("n", n),
             ("up", tuple(up)), ("lft", tuple(lft)),
@@ -183,34 +188,40 @@ def _listed(elements, shown=8):
     return f"{elements[:shown]} and {len(elements) - shown} more"
 
 
-def _closure(n, pairs):
-    """Strict pairs -> reflexive up-set masks; rejects cycles."""
-    succ = [0] * n
-    for a, b in pairs:
+def _order(n, cover_list):
+    """Strict pairs -> reflexive up-set masks of a bounded partial order.
+
+    Rejects a self-loop, a cycle (Kahn's algorithm over adjacency lists),
+    then more than one minimal or maximal element (in- or out-degree 0),
+    all before any mask is built, so unbounded input costs O(n + pairs).
+    """
+    succ = [[] for _ in range(n)]
+    indeg = [0] * n
+    for a, b in cover_list:
         if a == b:
             raise NotAPartialOrder(f"self-loop at element {a}")
-        succ[a] |= 1 << b
-    indeg = [0] * n
-    for a in range(n):
-        for b in bits(succ[a]):
-            indeg[b] += 1
-    queue = [x for x in range(n) if indeg[x] == 0]
-    topo = []
-    while queue:
-        x = queue.pop()
-        topo.append(x)
-        for y in bits(succ[x]):
+        succ[a].append(b)
+        indeg[b] += 1
+    bottoms = [x for x in range(n) if not indeg[x]]
+    topo = list(bottoms)
+    for x in topo:
+        for y in succ[x]:
             indeg[y] -= 1
-            if indeg[y] == 0:
-                queue.append(y)
+            if not indeg[y]:
+                topo.append(y)
     if len(topo) != n:
-        cyclic = sorted(x for x in range(n) if indeg[x] > 0)
+        cyclic = [x for x in range(n) if indeg[x]]
         raise NotAPartialOrder(
             f"cover relation has a cycle through {_listed(cyclic)}"
         )
+    if len(bottoms) != 1:
+        raise NotBounded(f"minimal elements {_listed(bottoms)}, expected exactly one")
+    tops = [x for x in range(n) if not succ[x]]
+    if len(tops) != 1:
+        raise NotBounded(f"maximal elements {_listed(tops)}, expected exactly one")
     up = [1 << x for x in range(n)]
     for x in reversed(topo):
-        for y in bits(succ[x]):
+        for y in succ[x]:
             up[x] |= up[y]
     return up
 
@@ -219,10 +230,9 @@ def _check_pairs(n, pairs, what):
     out = []
     for i, pair in enumerate(pairs):
         try:
-            a, b = pair
+            a, b = map(operator.index, pair)
         except (TypeError, ValueError):
-            raise ValueError(f"{what}[{i}] is not a pair") from None
-        a, b = int(a), int(b)
+            raise ValueError(f"{what}[{i}] is not a pair of integers") from None
         if not (0 <= a < n and 0 <= b < n):
             raise ValueError(f"{what}[{i}] = ({a}, {b}) is out of range for n={n}")
         out.append((a, b))
@@ -236,8 +246,11 @@ def validate(n, covers, left=()):
     the order is their transitive closure and the stored covers are
     recomputed.  ``left`` must orient exactly the incomparable pairs.
 
-    Raises NotAPartialOrder, NotBounded, LeftOnComparable, LeftIncomplete,
-    or NotLinearizable, in roughly that order of detection.
+    Raises ValueError (a pair not of two integers in range), then
+    NotAPartialOrder, NotBounded, LeftOnComparable, LeftIncomplete, or
+    NotLinearizable, in roughly that order of detection.  The order is read
+    once, by :func:`_order`; whether left orients every incomparable pair is
+    a count, and both sweep positions come from one formula.
 
     n = 1 is allowed: the one-element diagram is the filter lattice of the
     two-element chain and turns up as a construction result.
@@ -246,20 +259,8 @@ def validate(n, covers, left=()):
         raise ValueError(f"n must be a positive integer, got {n!r}")
     cover_list = _check_pairs(n, list(covers), "covers")
     left_list = _check_pairs(n, list(left), "left")
-    up = _closure(n, cover_list)
-    dn = [0] * n
-    for x in range(n):
-        for y in bits(up[x]):
-            dn[y] |= 1 << x
-    bottoms = [x for x in range(n) if dn[x] == 1 << x]
-    tops = [x for x in range(n) if up[x] == 1 << x]
-    if len(bottoms) != 1:
-        raise NotBounded(
-            f"minimal elements {_listed(bottoms)}, expected exactly one"
-        )
-    if len(tops) != 1:
-        raise NotBounded(f"maximal elements {_listed(tops)}, expected exactly one")
-    lft = [0] * n
+    up = _order(n, cover_list)
+    lft, rgt = [0] * n, [0] * n
     for a, b in left_list:
         if a == b:
             raise LeftOnComparable(f"left pair ({a}, {b}) is reflexive")
@@ -272,26 +273,27 @@ def validate(n, covers, left=()):
                 f"pair ({a}, {b}) is oriented in both directions"
             )
         lft[a] |= 1 << b
-    for x in range(n):
-        for y in range(x + 1, n):
-            if up[x] & (1 << y) or up[y] & (1 << x):
-                continue
-            if not (lft[x] & (1 << y) or lft[y] & (1 << x)):
-                raise LeftIncomplete(
-                    f"incomparable pair ({x}, {y}) carries no orientation"
-                )
-    # Every incomparable pair is now oriented exactly once, so a sweep is
-    # linear iff its positions, n - 1 - (number of elements after x), form
-    # a permutation.  In the right-to-left sweep that count is the number
-    # of elements before x: those below x and those x is left of.
-    ident = list(range(n))
-    lam = [n - 1 - ((up[x] & ~(1 << x)) | lft[x]).bit_count() for x in range(n)]
-    if sorted(lam) != ident:
-        raise NotLinearizable("order + left is not a linear order")
-    rho = [((dn[x] & ~(1 << x)) | lft[x]).bit_count() for x in range(n)]
-    if sorted(rho) != ident:
-        raise NotLinearizable("order + inverted left is not a linear order")
-    return Diagram(lam, rho)
+        rgt[b] |= 1 << a
+    # each comparable pair is counted once, at its lower end (up[x] holds x)
+    above = [m.bit_count() for m in up]
+    if sum(above) - n + sum(m.bit_count() for m in lft) != n * (n - 1) // 2:
+        for x in range(n):
+            # later elements neither above x nor oriented against it
+            for y in bits(~(up[x] | lft[x] | rgt[x]) & ((1 << n) - (2 << x))):
+                if not up[y] & (1 << x):
+                    raise LeftIncomplete(
+                        f"incomparable pair ({x}, {y}) carries no orientation"
+                    )
+    # Every pair is now related once, so a sweep is linear iff the positions
+    # n - 1 - |after x| form a permutation; after x come the elements above
+    # x and those x is left of (left to right) or right of (right to left).
+    sweeps = []
+    for side, what in ((lft, "left"), (rgt, "inverted left")):
+        pos = [n - above[x] - side[x].bit_count() for x in range(n)]
+        if sorted(pos) != list(range(n)):
+            raise NotLinearizable(f"order + {what} is not a linear order")
+        sweeps.append(pos)
+    return Diagram(*sweeps)
 
 
 def revalidate(d):
@@ -439,22 +441,14 @@ def order_dimension_le2(n, covers):
     """Orient a bare bounded poset if its order dimension is at most two.
 
     Returns a valid :class:`Diagram` on the same order, or None when no
-    orientation of the incomparable pairs linearizes both sweeps.
-    Backtracking over pair orientations with unit propagation; meant for
-    n up to about 12.
+    orientation of the incomparable pairs linearizes both sweeps.  Bad
+    input raises exactly what :func:`validate` raises.  Backtracking over
+    pair orientations with unit propagation; meant for n up to about 12.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     cover_list = _check_pairs(n, list(covers), "covers")
-    up = _closure(n, cover_list)
-    dn = [0] * n
-    for x in range(n):
-        for y in bits(up[x]):
-            dn[y] |= 1 << x
-    if len([x for x in range(n) if dn[x] == 1 << x]) != 1:
-        raise NotBounded("no unique minimum")
-    if len([x for x in range(n) if up[x] == 1 << x]) != 1:
-        raise NotBounded("no unique maximum")
+    up = _order(n, cover_list)
 
     pairs = [
         (x, y)

@@ -24,7 +24,6 @@ from .diagram import (
     mirror,
     order_dimension_le2,
     similar,
-    validate,
 )
 from .errors import (
     ChainsDoNotCoverJir,
@@ -175,10 +174,19 @@ def is_semimodular(d):
 
 
 def _slim(d, t):
-    jir = sorted(t.jir)
-    for a, b, c in combinations(jir, 3):
-        if d.incomparable(a, b) and d.incomparable(a, c) and d.incomparable(b, c):
-            return False
+    # incomparable means listed in opposite orders by the two sweeps, so a
+    # 3-antichain is a falling run of three reverse positions along the
+    # left-to-right sweep; first/second: highest end of a run of length 1/2
+    first = second = -1
+    for x in d.lam_order:
+        if x in t.jir:
+            r = d.rho_pos[x]
+            if r < second:
+                return False
+            if r < first:
+                second = r
+            else:
+                first = r
     return True
 
 
@@ -324,7 +332,8 @@ def diagram_from_chains(n, covers, left_chain, right_chain):
     must be maximal chains that jointly contain every join-irreducible
     element; the orientation is then forced: x is left of y exactly when
     x's left support is strictly higher and its right support strictly
-    lower than y's.
+    lower than y's: the diagram is drawn from the support heights, and a
+    drawing without the given order or chains raises LawViolation.
     """
     try:
         oriented = order_dimension_le2(n, covers)
@@ -347,20 +356,14 @@ def diagram_from_chains(n, covers, left_chain, right_chain):
         raise ChainsDoNotCoverJir(
             f"join-irreducible elements {missing} lie on neither chain"
         )
-    lrank = {c: i for i, c in enumerate(left_chain)}
-    rrank = {c: i for i, c in enumerate(right_chain)}
-    lsp = []
-    rsp = []
-    for x in range(n):
-        lsp.append(max((lrank[c] for c in left_chain if oriented.leq(c, x))))
-        rsp.append(max((rrank[c] for c in right_chain if oriented.leq(c, x))))
-    left = []
-    for x in range(n):
-        for y in range(n):
-            if x != y and oriented.incomparable(x, y):
-                if lsp[x] > lsp[y] and rsp[x] < rsp[y]:
-                    left.append((x, y))
-    d = validate(n, covers, left)
+    # a support's height on its chain is the number of members below x
+    d = _dominance_diagram([
+        (sum(oriented.leq(c, x) for c in right_chain),
+         sum(oriented.leq(c, x) for c in left_chain))
+        for x in range(n)
+    ])
+    if d.up != oriented.up:
+        raise LawViolation("the supports do not draw the given order")
     if boundary_chains(d) != (left_chain, right_chain):
         raise LawViolation(
             "reconstructed diagram does not produce the prescribed chains"

@@ -1,8 +1,10 @@
 """Core diagram type: validation, canonical forms, chains, dimension."""
 
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 from itertools import permutations
 from pathlib import Path
 
@@ -49,6 +51,17 @@ def test_validate_rejects_malformed_pairs():
         qp.validate(3, [(0,)])
     with pytest.raises(ValueError):
         qp.validate(3, [(0, 1)], left=[(9, 0)])
+    # components are integers, never truncated or parsed
+    for covers, left, where in (
+        ([(0, 1.9), (1.2, 2)], [], "covers[0]"),
+        ([(0, 1), (1, 2.0)], [], "covers[1]"),
+        ([("0", "1"), (1, 2)], [], "covers[0]"),
+        ([(None, 1), (1, 2)], [], "covers[0]"),
+        ([(0, 1), (1, 2)], [(0, 2), (1, 0.5)], "left[1]"),
+    ):
+        with pytest.raises(ValueError, match=rf"^{re.escape(where)} ") as exc:
+            qp.validate(3, covers, left)
+        assert type(exc.value) is ValueError
 
 
 def test_validate_rejects_self_loop():
@@ -242,6 +255,29 @@ def test_validate_messages_stay_short_on_huge_input():
     with pytest.raises(qp.NotAPartialOrder) as exc:
         qp.validate(3000, cycle)
     assert len(str(exc.value)) < 200 and "and 2992 more" in str(exc.value)
+
+
+def test_validate_refuses_a_huge_unbounded_order_in_small_memory():
+    # no mask is built before the order is known to be bounded
+    tracemalloc.start()
+    try:
+        with pytest.raises(qp.NotBounded) as exc:
+            qp.validate(200000, [])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == (
+        "minimal elements [0, 1, 2, 3, 4, 5, 6, 7] and 199992 more, "
+        "expected exactly one"
+    )
+    assert peak < 64 * 2**20
+
+
+def test_cli_refuses_a_huge_unbounded_document_in_one_line(cli):
+    code, out, err = cli("validate", "-", stdin='{"n":200000,"covers":[]}')
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and len(err) < 200
+    assert err.startswith("NotBounded: minimal elements [0, 1,")
 
 
 def test_constructor_rejects_bad_positions_under_python_O():

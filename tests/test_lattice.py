@@ -116,6 +116,18 @@ def test_diagram_from_chains_rebuilds_every_size_six_lattice():
         assert qp.diagram_from_chains(d.n, d.cover_pairs(), lc, rc) == d
 
 
+def test_diagram_from_chains_rebuilds_both_lattices_through_size_eight():
+    rebuilt = 0
+    for size in range(2, 9):
+        for q in qp.enumerate_quasiplanar(size):
+            for d in (qp.lattice_from_pairs(q), qp.lattice_from_filters(q)):
+                lc, rc = qp.boundary_chains(d)
+                got = qp.diagram_from_chains(d.n, d.cover_pairs(), lc, rc)
+                assert (got.lam_pos, got.rho_pos) == (d.lam_pos, d.rho_pos)
+                rebuilt += 1
+    assert rebuilt == 1748
+
+
 def test_diagram_from_chains_validates_the_chains():
     d = qp.capped_diamond()
     lc, rc = qp.boundary_chains(d)
@@ -170,4 +182,12 @@ def test_self_checks_raise_law_violations(monkeypatch):
     with pytest.raises(qp.LawViolation, match="join of its supports"):
         qp.supports(d)
     with pytest.raises(qp.LawViolation, match="prescribed chains"):
+        qp.diagram_from_chains(d.n, d.cover_pairs(), lc, rc)
+
+
+def test_diagram_from_chains_checks_the_drawn_order(monkeypatch):
+    d = qp.capped_diamond()
+    lc, rc = qp.boundary_chains(d)
+    monkeypatch.setattr(lattice, "_dominance_diagram", lambda keys: qp.chain(5))
+    with pytest.raises(qp.LawViolation, match="do not draw the given order"):
         qp.diagram_from_chains(d.n, d.cover_pairs(), lc, rc)

@@ -3,18 +3,26 @@
 A diagram is built from its two sweep positions; every construction that
 used to assemble order and left masks by hand now computes positions
 instead.  The mask-building versions live on here as oracles, next to a
-subset scan for the filter family and a minimal-bounds search for the
-lattice tables.
+subset scan for the filter family, a minimal-bounds search for the
+lattice tables, the triple scan for slimness, and the all-pairs
+``validate`` that read the order twice.
 """
 
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import quasiplanar as qp
-from quasiplanar.diagram import bits
+from quasiplanar.diagram import Diagram, _listed, bits
+from quasiplanar.errors import (
+    LeftIncomplete,
+    LeftOnComparable,
+    NotAPartialOrder,
+    NotBounded,
+    NotLinearizable,
+)
 
 FIELDS = ("n", "up", "lft", "dn", "rgt", "upcov", "dncov", "bottom", "top",
           "lam_pos", "rho_pos", "lam_order", "rho_order")
@@ -366,3 +374,190 @@ def test_not_a_lattice_messages_and_witnesses_are_unchanged():
         else:
             assert qp.is_lattice(d)
     assert failures > 0
+
+
+# -- slimness against the triple scan --------------------------------------
+
+
+def _slim_by_triples(d):
+    jir = sorted(qp.lattice_tables(d).jir)
+    return not any(
+        d.incomparable(a, b) and d.incomparable(a, c) and d.incomparable(b, c)
+        for a, b, c in combinations(jir, 3)
+    )
+
+
+def test_is_slim_matches_the_triple_scan():
+    checked = fat = 0
+    for size in range(2, 9):
+        for q in qp.enumerate_quasiplanar(size):
+            for d in (q, qp.mirror(q), qp.lattice_from_filters(q)):
+                if qp.is_lattice(d):
+                    want = _slim_by_triples(d)
+                    assert qp.is_slim(d) == want
+                    checked += 1
+                    fat += not want
+    assert checked > 2000 and fat > 500
+
+
+# -- validate against the all-pairs version that read the order twice ------
+
+
+def _closure_reference(n, pairs):
+    """Strict pairs -> reflexive up-set masks; rejects cycles."""
+    succ = [0] * n
+    for a, b in pairs:
+        if a == b:
+            raise NotAPartialOrder(f"self-loop at element {a}")
+        succ[a] |= 1 << b
+    indeg = [0] * n
+    for a in range(n):
+        for b in bits(succ[a]):
+            indeg[b] += 1
+    queue = [x for x in range(n) if indeg[x] == 0]
+    topo = []
+    while queue:
+        x = queue.pop()
+        topo.append(x)
+        for y in bits(succ[x]):
+            indeg[y] -= 1
+            if indeg[y] == 0:
+                queue.append(y)
+    if len(topo) != n:
+        cyclic = sorted(x for x in range(n) if indeg[x] > 0)
+        raise NotAPartialOrder(
+            f"cover relation has a cycle through {_listed(cyclic)}"
+        )
+    up = [1 << x for x in range(n)]
+    for x in reversed(topo):
+        for y in bits(succ[x]):
+            up[x] |= up[y]
+    return up
+
+
+def _check_pairs_reference(n, pairs, what):
+    out = []
+    for i, pair in enumerate(pairs):
+        try:
+            a, b = pair
+        except (TypeError, ValueError):
+            raise ValueError(f"{what}[{i}] is not a pair") from None
+        a, b = int(a), int(b)
+        if not (0 <= a < n and 0 <= b < n):
+            raise ValueError(f"{what}[{i}] = ({a}, {b}) is out of range for n={n}")
+        out.append((a, b))
+    return out
+
+
+def _validate_reference(n, covers, left=()):
+    if not isinstance(n, int) or n < 1:
+        raise ValueError(f"n must be a positive integer, got {n!r}")
+    cover_list = _check_pairs_reference(n, list(covers), "covers")
+    left_list = _check_pairs_reference(n, list(left), "left")
+    up = _closure_reference(n, cover_list)
+    dn = [0] * n
+    for x in range(n):
+        for y in bits(up[x]):
+            dn[y] |= 1 << x
+    bottoms = [x for x in range(n) if dn[x] == 1 << x]
+    tops = [x for x in range(n) if up[x] == 1 << x]
+    if len(bottoms) != 1:
+        raise NotBounded(
+            f"minimal elements {_listed(bottoms)}, expected exactly one"
+        )
+    if len(tops) != 1:
+        raise NotBounded(f"maximal elements {_listed(tops)}, expected exactly one")
+    lft = [0] * n
+    for a, b in left_list:
+        if a == b:
+            raise LeftOnComparable(f"left pair ({a}, {b}) is reflexive")
+        if up[a] & (1 << b) or up[b] & (1 << a):
+            raise LeftOnComparable(
+                f"left pair ({a}, {b}) relates comparable elements"
+            )
+        if lft[b] & (1 << a):
+            raise NotLinearizable(
+                f"pair ({a}, {b}) is oriented in both directions"
+            )
+        lft[a] |= 1 << b
+    for x in range(n):
+        for y in range(x + 1, n):
+            if up[x] & (1 << y) or up[y] & (1 << x):
+                continue
+            if not (lft[x] & (1 << y) or lft[y] & (1 << x)):
+                raise LeftIncomplete(
+                    f"incomparable pair ({x}, {y}) carries no orientation"
+                )
+    # Every incomparable pair is now oriented exactly once, so a sweep is
+    # linear iff its positions, n - 1 - (number of elements after x), form
+    # a permutation.  In the right-to-left sweep that count is the number
+    # of elements before x: those below x and those x is left of.
+    ident = list(range(n))
+    lam = [n - 1 - ((up[x] & ~(1 << x)) | lft[x]).bit_count() for x in range(n)]
+    if sorted(lam) != ident:
+        raise NotLinearizable("order + left is not a linear order")
+    rho = [((dn[x] & ~(1 << x)) | lft[x]).bit_count() for x in range(n)]
+    if sorted(rho) != ident:
+        raise NotLinearizable("order + inverted left is not a linear order")
+    return Diagram(lam, rho)
+
+
+def _outcome(validate, n, covers, left):
+    try:
+        d = validate(n, covers, left)
+    except ValueError as e:
+        return type(e), str(e)
+    return d.lam_pos, d.rho_pos
+
+
+def _assert_same_outcome(n, covers, left):
+    want = _outcome(_validate_reference, n, covers, left)
+    assert _outcome(qp.validate, n, covers, left) == want, (n, covers, left)
+    return want
+
+
+def test_validate_matches_the_reference_on_every_small_cover_set():
+    rng = random.Random(4)
+    kinds = set()
+    for n in range(1, 5):
+        arcs = [(a, b) for a in range(n) for b in range(n) if a != b]
+        for chosen in range(1 << len(arcs)):
+            covers = [p for i, p in enumerate(arcs) if chosen >> i & 1]
+            try:
+                up = _closure_reference(n, covers)
+            except NotAPartialOrder as e:
+                kinds.add(type(e))
+                _assert_same_outcome(n, covers, [])
+                continue
+            inc = [(x, y) for x in range(n) for y in range(x + 1, n)
+                   if not (up[x] >> y & 1 or up[y] >> x & 1)]
+            flipped = [(y, x) for x, y in inc]
+            for left in (
+                [], inc, flipped, inc[:-1], inc + inc[:1], inc + flipped[:1],
+                inc + covers[:1], [(n - 1, n - 1)] + inc,
+                [p if rng.random() < 0.5 else p[::-1] for p in inc],
+            ):
+                got = _assert_same_outcome(n, covers, left)
+                kinds.add(got[0] if isinstance(got[0], type) else Diagram)
+    assert kinds == {Diagram, NotAPartialOrder, NotBounded, LeftOnComparable,
+                     LeftIncomplete, NotLinearizable}
+
+
+def test_validate_matches_the_reference_on_every_diagram_and_its_defects():
+    rng = random.Random(7)
+    for d in _relabelled(7):
+        covers, left = list(d.cover_pairs()), list(d.left_pairs())
+        rng.shuffle(covers)
+        rng.shuffle(left)
+        assert _assert_same_outcome(d.n, covers, left) == (d.lam_pos, d.rho_pos)
+        cover = covers[rng.randrange(len(covers))]
+        # a comparable left pair, and a cover run backwards
+        _assert_same_outcome(d.n, covers, left + [cover])
+        _assert_same_outcome(d.n, covers + [cover[::-1]], left)
+        if left:
+            i = rng.randrange(len(left))
+            flipped = left[i][::-1]
+            # a left pair dropped, reversed, or doubled in reverse
+            _assert_same_outcome(d.n, covers, left[:i] + left[i + 1:])
+            _assert_same_outcome(d.n, covers, left[:i] + [flipped] + left[i + 1:])
+            _assert_same_outcome(d.n, covers, left + [flipped])
