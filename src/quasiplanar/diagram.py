@@ -229,7 +229,10 @@ def _order(n, cover_list):
 def _check_pairs(n, pairs, what):
     out = []
     for i, pair in enumerate(pairs):
+        # a pair is a tuple or list of two integers, not any other iterable
         try:
+            if not isinstance(pair, (tuple, list)):
+                raise TypeError
             a, b = map(operator.index, pair)
         except (TypeError, ValueError):
             raise ValueError(f"{what}[{i}] is not a pair of integers") from None
@@ -442,98 +445,47 @@ def order_dimension_le2(n, covers):
 
     Returns a valid :class:`Diagram` on the same order, or None when no
     orientation of the incomparable pairs linearizes both sweeps.  Bad
-    input raises exactly what :func:`validate` raises.  Backtracking over
-    pair orientations with unit propagation; meant for n up to about 12.
+    input raises exactly what :func:`validate` raises.
+
+    The left relation of a diagram is a transitive orientation of the
+    incomparability graph (Dushnik–Miller), and orienting one pair forces
+    others: if x is left of y, then x is left of every z incomparable with
+    x but comparable with y, and every z incomparable with y but comparable
+    with x is left of y.  The arcs forced from one arc form its implication
+    class.  The loop orients one class at a time, reading "comparable" as
+    "not free" (comparable, or oriented by an earlier class), and takes its
+    pairs out of the free ones.  Either every pair ends up oriented, or a
+    class forces some pair both ways and the dimension exceeds two
+    (Golumbic's TRO theorem).  No search: each arc is grown once, in O(n)
+    steps.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     cover_list = _check_pairs(n, list(covers), "covers")
     up = _order(n, cover_list)
-
-    pairs = [
-        (x, y)
-        for x in range(n)
-        for y in range(x + 1, n)
-        if not (up[x] & (1 << y) or up[y] & (1 << x))
-    ]
-    index = {p: i for i, p in enumerate(pairs)}
-    state = [0] * len(pairs)  # 0 undecided, 1 means x left of y, -1 reversed
-
-    def left_arc(a, b):
-        """Truth of 'a precedes b in the left-to-right sweep', or None."""
-        if up[a] & (1 << b):
-            return True
-        if up[b] & (1 << a):
-            return False
-        s = state[index[(a, b)]] if a < b else -state[index[(b, a)]]
-        return None if s == 0 else s > 0
-
-    def set_left(a, b, trail):
-        """Record 'a left of b'. Returns False on contradiction."""
-        queue = [(a, b)]
-        while queue:
-            a, b = queue.pop()
-            cur = left_arc(a, b)
-            if cur is True and not up[a] & (1 << b):
-                continue
-            if cur is False:
-                return False
-            if cur is None:
-                i = index[(a, b)] if a < b else index[(b, a)]
-                state[i] = 1 if a < b else -1
-                trail.append(i)
-            # New facts: sweep arc a->b and reverse-sweep arc b->a.
-            for c in range(n):
-                if c == a or c == b:
-                    continue
-                # left-to-right transitivity through the new arc
-                if left_arc(b, c) is True and left_arc(a, c) is not True:
-                    if up[c] & (1 << a) or left_arc(c, a) is True:
-                        return False
-                    if not up[a] & (1 << c):
-                        queue.append((a, c))
-                if left_arc(c, a) is True and left_arc(c, b) is not True:
-                    if up[b] & (1 << c) or left_arc(b, c) is True:
-                        return False
-                    if not up[c] & (1 << b):
-                        queue.append((c, b))
-                # right-to-left transitivity: arc there is b->a
-                if rho_arc(a, c) is True and rho_arc(b, c) is not True:
-                    if rho_arc(c, b) is True:
-                        return False
-                    if not up[b] & (1 << c):
-                        queue.append((c, b))
-                if rho_arc(c, b) is True and rho_arc(c, a) is not True:
-                    if rho_arc(a, c) is True:
-                        return False
-                    if not up[c] & (1 << a):
-                        queue.append((a, c))
-        return True
-
-    def rho_arc(a, b):
-        """Truth of 'a precedes b in the right-to-left sweep', or None."""
-        if up[a] & (1 << b):
-            return True
-        if up[b] & (1 << a):
-            return False
-        got = left_arc(a, b)
-        return None if got is None else not got
-
-    def solve(k):
-        while k < len(pairs) and state[k] != 0:
-            k += 1
-        if k == len(pairs):
-            return True
-        x, y = pairs[k]
-        for a, b in ((x, y), (y, x)):
-            trail = []
-            if set_left(a, b, trail) and solve(k + 1):
-                return True
-            for i in trail:
-                state[i] = 0
-        return False
-
-    if not solve(0):
-        return None
-    left = [p if state[i] > 0 else (p[1], p[0]) for i, p in enumerate(pairs)]
+    dn = [0] * n
+    for x in range(n):
+        for y in bits(up[x]):
+            dn[y] |= 1 << x
+    # free[x]: the elements incomparable to x whose pair is not oriented yet
+    free = [((1 << n) - 1) ^ (up[x] | dn[x]) for x in range(n)]
+    left = []
+    for x in range(n):
+        while free[x]:
+            arcs = [(x, (free[x] & -free[x]).bit_length() - 1)]
+            seen = set(arcs)
+            # the loop also visits the arcs it appends: the class of arcs[0]
+            for a, b in arcs:
+                forced = [(a, c) for c in bits(free[a] & ~(free[b] | 1 << b))]
+                forced += [(c, b) for c in bits(free[b] & ~(free[a] | 1 << a))]
+                for arc in forced:
+                    if arc not in seen:
+                        seen.add(arc)
+                        arcs.append(arc)
+            if any((b, a) in seen for a, b in arcs):
+                return None
+            for a, b in arcs:
+                free[a] &= ~(1 << b)
+                free[b] &= ~(1 << a)
+            left += arcs
     return validate(n, cover_list, left)

@@ -19,12 +19,14 @@ from math import factorial
 
 from .diagram import (
     Diagram,
+    _dominance_diagram,
     bits,
     boundary_chains,
     canonical_form,
     chain_side,
     from_canonical,
     maximal_chains,
+    relabel,
     revalidate,
     similar,
 )
@@ -357,6 +359,19 @@ def _require(holds, message, *args):
         raise LawViolation(message.format(*args))
 
 
+def _require_same_positions(got, want, message):
+    """Require two diagrams on one ground set to be equal.
+
+    A diagram is its two sweep positions, so on failure ``message`` is
+    formatted with the first element the two place differently.
+    """
+    if got != want:
+        raise LawViolation(message.format(next(
+            x for x in range(want.n)
+            if (got.lam_pos[x], got.rho_pos[x]) != (want.lam_pos[x], want.rho_pos[x])
+        )))
+
+
 def _is_hco_filter(d, ground, mask):
     """Whether ``mask`` is a horizontally convex filter, by the definition."""
     for x in bits(mask):
@@ -400,19 +415,11 @@ def _check_lattices_agree(c):
     to_filter, _ = c.maps
     _, pair_labels = c.beta1_labeled
     m = [c.filter_index[to_filter[p]] for p in pair_labels]
-    b1, b2 = c.beta1, c.beta2
-    for i in range(b1.n):
-        for j in range(b1.n):
-            if i == j:
-                continue
-            _require(
-                b1.leq(i, j) == b2.leq(m[i], m[j]),
-                "closure map breaks order at pairs {}, {}", i, j,
-            )
-            _require(
-                b1.left(i, j) == b2.left(m[i], m[j]),
-                "closure map breaks left at pairs {}, {}", i, j,
-            )
+    _require(sorted(m) == list(range(c.beta2.n)), "the closure map is no bijection")
+    _require_same_positions(
+        relabel(c.beta1, m), c.beta2,
+        "closure map moves the pair lattice off filter {}",
+    )
 
 
 def _check_pair_filter_maps(c):
@@ -539,26 +546,12 @@ def _check_supports(c):
     lc, rc = boundary_chains(d)
     lrank = {x: i for i, x in enumerate(lc)}
     rrank = {x: i for i, x in enumerate(rc)}
-    for x in range(d.n):
-        for y in range(d.n):
-            if x == y:
-                continue
-            below = (
-                lrank[sup.lsp[x]] <= lrank[sup.lsp[y]]
-                and rrank[sup.rsp[x]] <= rrank[sup.rsp[y]]
-            )
-            _require(
-                d.leq(x, y) == below,
-                "support ranks disagree with order at ({}, {})", x, y,
-            )
-            lft = (
-                lrank[sup.lsp[x]] > lrank[sup.lsp[y]]
-                and rrank[sup.rsp[x]] < rrank[sup.rsp[y]]
-            )
-            _require(
-                d.left(x, y) == lft,
-                "support ranks disagree with left at ({}, {})", x, y,
-            )
+    # the drawing diagram_from_chains makes from the support heights
+    keys = [(rrank[sup.rsp[x]], lrank[sup.lsp[x]]) for x in range(d.n)]
+    _require(len(set(keys)) == d.n, "two elements share their support ranks")
+    _require_same_positions(
+        _dominance_diagram(keys), d, "support ranks misplace element {}"
+    )
     _, to_pair = c.maps
     filters = c.beta2_labeled[1]
     for i, f in enumerate(filters):

@@ -58,6 +58,10 @@ def test_validate_rejects_malformed_pairs():
         ([("0", "1"), (1, 2)], [], "covers[0]"),
         ([(None, 1), (1, 2)], [], "covers[0]"),
         ([(0, 1), (1, 2)], [(0, 2), (1, 0.5)], "left[1]"),
+        # only a tuple or a list is a pair, never bytes or a dict
+        ([b"\x00\x01", {1: "a", 2: "b"}], [], "covers[0]"),
+        ([(0, 1), {1: "a", 2: "b"}], [], "covers[1]"),
+        ([(0, 1), (1, 2)], [b"\x00\x02"], "left[0]"),
     ):
         with pytest.raises(ValueError, match=rf"^{re.escape(where)} ") as exc:
             qp.validate(3, covers, left)
@@ -223,9 +227,18 @@ def test_order_dimension_two_orients_the_diamond():
     assert d.up == qp.diamond().up
 
 
+def _grid_covers(k):
+    """The k x k x k grid, element (a, b, c) numbered a*k*k + b*k + c."""
+    return k ** 3, [
+        (i, i + s) for i in range(k ** 3) for s in (k * k, k, 1)
+        if i // s % k < k - 1
+    ]
+
+
 def test_order_dimension_two_rejects_the_cube():
     n, covers = qp.boolean_cube_covers()
     assert qp.order_dimension_le2(n, covers) is None
+    assert qp.order_dimension_le2(*_grid_covers(3)) is None
 
 
 def test_order_dimension_two_on_chains_and_antichains():
@@ -235,6 +248,10 @@ def test_order_dimension_two_on_chains_and_antichains():
     covers = [(0, x) for x in (1, 2, 3)] + [(x, 4) for x in (1, 2, 3)]
     d = qp.order_dimension_le2(5, covers)
     assert d is not None and d.up == qp.three_atom_diamond().up
+    # 60 elements, 1770 pairs, each its own implication class: no recursion
+    covers = [(0, x) for x in range(1, 61)] + [(x, 61) for x in range(1, 61)]
+    d = qp.order_dimension_le2(62, covers)
+    assert d is not None and len(d.left_pairs()) == 1770
 
 
 def test_order_dimension_two_requires_bounds():

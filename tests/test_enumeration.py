@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -227,6 +228,40 @@ def test_equinumerous_law_holds_the_family_to_the_definition(monkeypatch):
     law = {r.name: r for r in report.results}["filters and weak pairs are equinumerous"]
     assert not law.passed
     assert "differs from the definition-level scan" in law.witness
+
+
+def test_position_laws_name_the_first_misplaced_element(monkeypatch):
+    # swap the images of two incomparable elements: the drawing moves,
+    # similarity and boundedness do not
+    real_maps, real_supports = enumeration.pair_filter_maps, enumeration.supports
+
+    def forged_maps(d):
+        f, to_pair = real_maps(d)
+        for p, r in combinations(f, 2):
+            if not (f[p] <= f[r] or f[r] <= f[p]):
+                return {**f, p: f[r], r: f[p]}, to_pair
+        return f, to_pair
+
+    def forged_supports(d):
+        sup = real_supports(d)
+        for x, y in d.incomparable_pairs()[:1]:
+            swap = {x: y, y: x}
+            sup = qp.SupportData(
+                tuple(sup.lsp[swap.get(z, z)] for z in range(d.n)),
+                tuple(sup.rsp[swap.get(z, z)] for z in range(d.n)),
+                sup.lds, sup.rds,
+            )
+        return sup
+
+    monkeypatch.setattr(enumeration, "pair_filter_maps", forged_maps)
+    monkeypatch.setattr(enumeration, "supports", forged_supports)
+    law = {r.name: r for r in qp.verify_suite(5).results}
+    assert "closure map moves the pair lattice off filter" in (
+        law["pair and filter lattices agree"].witness
+    )
+    assert "support ranks misplace element" in (
+        law["supports compose every element"].witness
+    )
 
 
 def test_broken_law_fails_under_python_O():

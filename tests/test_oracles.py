@@ -4,8 +4,9 @@ A diagram is built from its two sweep positions; every construction that
 used to assemble order and left masks by hand now computes positions
 instead.  The mask-building versions live on here as oracles, next to a
 subset scan for the filter family, a minimal-bounds search for the
-lattice tables, the triple scan for slimness, and the all-pairs
-``validate`` that read the order twice.
+lattice tables, the triple scan for slimness, the all-pairs
+``validate`` that read the order twice, and the backtracking solver that
+oriented a bare order before implication classes did.
 """
 
 import random
@@ -15,7 +16,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import quasiplanar as qp
-from quasiplanar.diagram import Diagram, _listed, bits
+from quasiplanar.diagram import (
+    Diagram, _check_pairs, _listed, _order, bits, validate,
+)
+from quasiplanar.enumeration import _labeled_posets
 from quasiplanar.errors import (
     LeftIncomplete,
     LeftOnComparable,
@@ -561,3 +565,154 @@ def test_validate_matches_the_reference_on_every_diagram_and_its_defects():
             _assert_same_outcome(d.n, covers, left[:i] + left[i + 1:])
             _assert_same_outcome(d.n, covers, left[:i] + [flipped] + left[i + 1:])
             _assert_same_outcome(d.n, covers, left + [flipped])
+
+
+# -- order_dimension_le2 against the backtracking solver it replaced -------
+
+
+def _order_dimension_le2_reference(n, covers):
+    """Orient a bare bounded poset if its order dimension is at most two.
+
+    Returns a valid :class:`Diagram` on the same order, or None when no
+    orientation of the incomparable pairs linearizes both sweeps.  Bad
+    input raises exactly what :func:`validate` raises.  Backtracking over
+    pair orientations with unit propagation; meant for n up to about 12.
+    """
+    if not isinstance(n, int) or n < 1:
+        raise ValueError(f"n must be a positive integer, got {n!r}")
+    cover_list = _check_pairs(n, list(covers), "covers")
+    up = _order(n, cover_list)
+
+    pairs = [
+        (x, y)
+        for x in range(n)
+        for y in range(x + 1, n)
+        if not (up[x] & (1 << y) or up[y] & (1 << x))
+    ]
+    index = {p: i for i, p in enumerate(pairs)}
+    state = [0] * len(pairs)  # 0 undecided, 1 means x left of y, -1 reversed
+
+    def left_arc(a, b):
+        """Truth of 'a precedes b in the left-to-right sweep', or None."""
+        if up[a] & (1 << b):
+            return True
+        if up[b] & (1 << a):
+            return False
+        s = state[index[(a, b)]] if a < b else -state[index[(b, a)]]
+        return None if s == 0 else s > 0
+
+    def set_left(a, b, trail):
+        """Record 'a left of b'. Returns False on contradiction."""
+        queue = [(a, b)]
+        while queue:
+            a, b = queue.pop()
+            cur = left_arc(a, b)
+            if cur is True and not up[a] & (1 << b):
+                continue
+            if cur is False:
+                return False
+            if cur is None:
+                i = index[(a, b)] if a < b else index[(b, a)]
+                state[i] = 1 if a < b else -1
+                trail.append(i)
+            # New facts: sweep arc a->b and reverse-sweep arc b->a.
+            for c in range(n):
+                if c == a or c == b:
+                    continue
+                # left-to-right transitivity through the new arc
+                if left_arc(b, c) is True and left_arc(a, c) is not True:
+                    if up[c] & (1 << a) or left_arc(c, a) is True:
+                        return False
+                    if not up[a] & (1 << c):
+                        queue.append((a, c))
+                if left_arc(c, a) is True and left_arc(c, b) is not True:
+                    if up[b] & (1 << c) or left_arc(b, c) is True:
+                        return False
+                    if not up[c] & (1 << b):
+                        queue.append((c, b))
+                # right-to-left transitivity: arc there is b->a
+                if rho_arc(a, c) is True and rho_arc(b, c) is not True:
+                    if rho_arc(c, b) is True:
+                        return False
+                    if not up[b] & (1 << c):
+                        queue.append((c, b))
+                if rho_arc(c, b) is True and rho_arc(c, a) is not True:
+                    if rho_arc(a, c) is True:
+                        return False
+                    if not up[c] & (1 << a):
+                        queue.append((a, c))
+        return True
+
+    def rho_arc(a, b):
+        """Truth of 'a precedes b in the right-to-left sweep', or None."""
+        if up[a] & (1 << b):
+            return True
+        if up[b] & (1 << a):
+            return False
+        got = left_arc(a, b)
+        return None if got is None else not got
+
+    def solve(k):
+        while k < len(pairs) and state[k] != 0:
+            k += 1
+        if k == len(pairs):
+            return True
+        x, y = pairs[k]
+        for a, b in ((x, y), (y, x)):
+            trail = []
+            if set_left(a, b, trail) and solve(k + 1):
+                return True
+            for i in trail:
+                state[i] = 0
+        return False
+
+    if not solve(0):
+        return None
+    left = [p if state[i] > 0 else (p[1], p[0]) for i, p in enumerate(pairs)]
+    return validate(n, cover_list, left)
+
+
+def _bounded_covers(up):
+    """A labelled poset on k points between a new bottom 0 and top k + 1."""
+    k = len(up)
+    covers = [(0, x + 1) for x in range(k)] + [(x + 1, k + 1) for x in range(k)]
+    covers += [(x + 1, y + 1) for x in range(k) for y in bits(up[x] & ~(1 << x))]
+    return k + 2, covers or [(0, 1)]
+
+
+def _grid_covers(k):
+    """The k x k x k grid, element (a, b, c) numbered a*k*k + b*k + c."""
+    return k ** 3, [
+        (i, i + s) for i in range(k ** 3) for s in (k * k, k, 1)
+        if i // s % k < k - 1
+    ]
+
+
+def _random_two_dimensional_orders(rng):
+    for n in range(20, 61, 8):
+        perm = list(range(1, n - 1))
+        rng.shuffle(perm)
+        names = list(range(n))
+        rng.shuffle(names)
+        covers = list(qp.relabel(qp.from_canonical(perm), names).cover_pairs())
+        rng.shuffle(covers)
+        yield n, covers
+
+
+def test_order_dimension_le2_matches_the_backtracking_solver():
+    inputs = [_bounded_covers(up) for k in range(6) for up in _labeled_posets(k)]
+    assert len(inputs) == 4474
+    inputs += [_bounded_covers(up) for up in _labeled_posets(6)[::25]]
+    inputs += [qp.boolean_cube_covers(), _grid_covers(3)]
+    inputs += _random_two_dimensional_orders(random.Random(5))
+    wider = 0
+    for n, covers in inputs:
+        got = qp.order_dimension_le2(n, covers)
+        want = _order_dimension_le2_reference(n, covers)
+        assert (got is None) == (want is None), (n, covers)
+        if got is None:
+            wider += 1
+        else:
+            assert got.up == want.up, (n, covers)
+    # 37 sampled six-point posets, the cube and the grid have dimension three
+    assert wider == 39
