@@ -344,7 +344,7 @@ class _Ctx:
     def closure(self, elems):
         key = frozenset(elems)
         if key not in self._closures:
-            self._closures[key] = hco_closure(self.q, key, self.fam)
+            self._closures[key] = hco_closure(self.q, key)
         return self._closures[key]
 
 
@@ -423,7 +423,30 @@ def _check_lattices_agree(c):
 
 
 def _check_pair_filter_maps(c):
-    c.maps
+    to_filter, to_pair = c.maps
+    filters = c.fam.filters
+    _require(
+        sorted(to_filter.values(), key=sorted) == sorted(filters, key=sorted),
+        "pair closures do not exhaust the filters",
+    )
+    # once the filters are exhausted, a pair round trip that holds forces
+    # the filter round trip, not conversely (a filter listed twice), so the
+    # filter round trip goes first and both can fail
+    for f in filters:
+        if to_filter.get(to_pair[f]) != f:
+            raise LawViolation(f"round trip moved a filter {sorted(f)}")
+    for p in c.pairs:
+        _require(to_pair[to_filter[p]] == p, "round trip moved the pair {}", p)
+    # the pair lattice orders the pairs componentwise along the two sweeps
+    beta1, pairs = c.beta1_labeled
+    by_label = [to_filter[p] for p in pairs]
+    for i, f in enumerate(by_label):
+        up = beta1.up[i]
+        for j, g in enumerate(by_label):
+            if bool(up >> j & 1) != (g <= f):
+                raise LawViolation(
+                    f"pair order and filter order disagree at {pairs[i]}, {pairs[j]}"
+                )
 
 
 def _check_closure_betweenness(c):
@@ -491,7 +514,23 @@ def _check_double_round_trip(c):
 
 
 def _check_antimatroid(c):
-    antimatroid_of(c.q)
+    feasible = antimatroid_of(c.q).feasible
+    _require(frozenset() in feasible, "empty set must be feasible")
+    _require(
+        frozenset().union(*feasible) == frozenset(c.q.interior()),
+        "feasible sets must cover the ground set",
+    )
+    for a in feasible:
+        for b in feasible:
+            if a | b not in feasible:
+                raise LawViolation(
+                    f"union of feasible sets {sorted(a)} and {sorted(b)} escapes"
+                )
+    for a in feasible:
+        if a and not any(a - {x} in feasible for x in a):
+            raise LawViolation(
+                f"feasible set {sorted(a)} has no removable element"
+            )
 
 
 def _check_peelings(c):
@@ -537,7 +576,21 @@ def _check_counts_agree(c):
 
 
 def _check_meet_irreducible_filters(c):
-    meet_irreducible_filters(c.q)
+    q = c.q
+    principal = meet_irreducible_filters(q)
+    d, filters = c.beta2_labeled
+    _require(
+        set(principal.values()) == {filters[i] for i in c.tables.mir},
+        "meet-irreducible filters are not the principal interior filters",
+    )
+    for x in q.interior():
+        for y in q.interior():
+            if q.incomparable(x, y) and q.left(x, y) != d.left(
+                c.filter_index[principal[x]], c.filter_index[principal[y]]
+            ):
+                raise LawViolation(
+                    f"left relation does not transport at ({x}, {y})"
+                )
 
 
 def _check_supports(c):
@@ -552,9 +605,17 @@ def _check_supports(c):
     _require_same_positions(
         _dominance_diagram(keys), d, "support ranks misplace element {}"
     )
+    t = c.tables
     _, to_pair = c.maps
-    filters = c.beta2_labeled[1]
-    for i, f in enumerate(filters):
+    for i, f in enumerate(c.beta2_labeled[1]):
+        _require(
+            t.join[sup.lsp[i]][sup.rsp[i]] == i,
+            "element is not the join of its supports",
+        )
+        _require(
+            i == d.top or t.meet[sup.lds[i]][sup.rds[i]] == i,
+            "element is not the meet of its dual supports",
+        )
         lm, rm = to_pair[f]
         _require(
             sup.lds[i] == c.filter_index[frozenset(bits(c.q.up[lm]))],

@@ -58,9 +58,8 @@ class ChainsDoNotCoverJir(ValueError):
 class LawViolation(ValueError):
     """A structural law that must hold for every valid input failed.
 
-    Raised by the law suite and by the self-checks of the constructions
-    that verify their own results; a plain exception rather than an
-    ``assert``, so the checks still run under ``python -O``.
+    Raised by the law suite only, and never by an ``assert``, so the laws
+    are still checked under ``python -O``.
     """
 
 

@@ -16,16 +16,17 @@ the up-closure of the elements weakly between x and y, and every filter
 arises from exactly one pair.  That takes O(n) mask operations per pair
 instead of a test of all 2^n subsets.  The definition-level scan lives on
 in :mod:`quasiplanar.enumeration` as the oracle of the law "filters and weak
-pairs are equinumerous", and :func:`pair_filter_maps` recomputes each
-filter's pair independently of the construction.
+pairs are equinumerous".  The constructions here only construct; the
+laws they obey are checked by :func:`~quasiplanar.enumeration.verify_suite`.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .diagram import _dominance_diagram, _maximal_in, _minimal_in, bits
-from .errors import InvalidGroundElement, LawViolation
+from .errors import InvalidGroundElement
 from .lattice import require_slim_semimodular
 
 WeakLeftPair = tuple[int, int]
@@ -36,6 +37,26 @@ def _ground_mask(d):
     return ((1 << d.n) - 1) & ~(1 << d.bottom)
 
 
+def _check_distinct_ends(d):
+    if d.bottom == d.top:
+        raise ValueError("diagram must have distinct bottom and top")
+
+
+def _ground_element(d, e):
+    """``e`` as an integer above the bottom of ``d``, else InvalidGroundElement."""
+    try:
+        e = operator.index(e)
+    except TypeError:
+        raise InvalidGroundElement(
+            f"element of type {type(e).__name__} is not an integer"
+        ) from None
+    if not 0 <= e < d.n or e == d.bottom:
+        raise InvalidGroundElement(
+            f"element {e} is not above the bottom of the diagram"
+        )
+    return e
+
+
 def weak_left_pairs(d):
     """All pairs (x, y) with x above the bottom and x equal to or left of y.
 
@@ -43,8 +64,7 @@ def weak_left_pairs(d):
     the left-to-right reading order of the lattice they form; see
     :func:`lattice_from_pairs`.
     """
-    if d.bottom == d.top:
-        raise ValueError("diagram must have distinct bottom and top")
+    _check_distinct_ends(d)
     ground = _ground_mask(d)
     pairs = [(x, x) for x in bits(ground)]
     pairs += [
@@ -99,17 +119,20 @@ def _peel(d, leftmost):
     return chain, steps
 
 
-def _pair_filters(d):
-    """(size, elements, pair) of each weak left pair's filter, in label order.
+def _pair_mask(d, x, y):
+    """The filter of the weak left pair (x, y): the up-closure, as a mask, of
+    the elements z with x equal to or left of z and z equal to or left of y."""
+    mask = 0
+    for z in bits((d.lft[x] | 1 << x) & (d.rgt[y] | 1 << y)):
+        mask |= d.up[z]
+    return mask
 
-    The filter of (x, y) is the up-closure of the elements z with x equal to
-    or left of z and z equal to or left of y.
-    """
+
+def _pair_filters(d):
+    """(size, elements, pair) of each weak left pair's filter, in label order."""
     found = []
     for x, y in weak_left_pairs(d):
-        mask = 0
-        for z in bits((d.lft[x] | 1 << x) & (d.rgt[y] | 1 << y)):
-            mask |= d.up[z]
+        mask = _pair_mask(d, x, y)
         found.append((mask.bit_count(), list(bits(mask)), (x, y)))
     found.sort()
     return found
@@ -134,31 +157,18 @@ def enumerate_hco_filters(d):
     )
 
 
-def hco_closure(d, elements, family=None):
+def hco_closure(d, elements):
     """The smallest horizontally convex filter containing ``elements``.
 
-    The family is intersection closed and the full ground set belongs to
-    it, so the closure is the intersection of every member containing the
-    input.  Pass a precomputed ``family`` to skip re-enumeration.
+    That is the filter of the weak left pair (leftmost, rightmost minimal
+    element of ``elements``): it holds both legs, hence every minimal
+    element between them and everything above.  The closure of no elements
+    is {top}, the filter of the pair (top, top).
     """
-    want = 0
-    for e in elements:
-        e = int(e)
-        if not 0 <= e < d.n or e == d.bottom:
-            raise InvalidGroundElement(
-                f"element {e} is not above the bottom of the diagram"
-            )
-        want |= 1 << e
-    if family is None:
-        family = enumerate_hco_filters(d)
-    out = _ground_mask(d)
-    for f in family.filters:
-        m = 0
-        for e in f:
-            m |= 1 << e
-        if not want & ~m:
-            out &= m
-    return frozenset(bits(out))
+    _check_distinct_ends(d)
+    elems = {_ground_element(d, e) for e in elements}
+    x, y = _pair_key(d, elems) if elems else (d.top, d.top)
+    return frozenset(bits(_pair_mask(d, x, y)))
 
 
 def min_between(d, x, y):
@@ -169,11 +179,7 @@ def min_between(d, x, y):
     ``hco_closure(d, (x, y))``; the test suite checks that identity on
     every enumerated diagram.
     """
-    for e in (x, y):
-        if not 0 <= e < d.n or e == d.bottom:
-            raise InvalidGroundElement(
-                f"element {e} is not above the bottom of the diagram"
-            )
+    x, y = _ground_element(d, x), _ground_element(d, y)
     if x != y and not d.left(x, y):
         raise ValueError(f"({x}, {y}) is not a weak left pair")
     betw = 0
@@ -184,7 +190,7 @@ def min_between(d, x, y):
 
 
 def _pair_key(d, fset):
-    """(sweep position of leftmost, reverse position of rightmost) minimal element."""
+    """The (leftmost, rightmost) minimal elements of ``fset``."""
     m = 0
     for e in fset:
         m |= 1 << e
@@ -243,33 +249,14 @@ def lattice_from_filters(d):
 def pair_filter_maps(d):
     """The reciprocal bijections between weak left pairs and filters.
 
-    Returns (to_filter, to_pair): the closure of a pair's two legs on one
-    side, the (leftmost, rightmost) minimal elements on the other.  The
-    maps are checked to invert each other and to carry the componentwise
-    pair order to reverse inclusion; a failure raises LawViolation.
+    Returns (to_filter, to_pair): each pair's filter as built by
+    :func:`enumerate_hco_filters` on one side, each filter's (leftmost,
+    rightmost) minimal elements on the other.  That the maps invert each
+    other and carry the componentwise pair order to reverse inclusion is
+    the law "pair and filter maps are reciprocal".
     """
-    fam = enumerate_hco_filters(d)
-    pairs = weak_left_pairs(d)
-    to_filter = {p: hco_closure(d, p, fam) for p in pairs}
-    to_pair = {f: _pair_key(d, f) for f in fam.filters}
-    if sorted(to_filter.values(), key=sorted) != sorted(fam.filters, key=sorted):
-        raise LawViolation("pair closures do not exhaust the filters")
-    for p in pairs:
-        if to_pair[to_filter[p]] != p:
-            raise LawViolation(f"round trip moved the pair {p}")
-    for f in fam.filters:
-        if to_filter[to_pair[f]] != f:
-            raise LawViolation(f"round trip moved a filter {sorted(f)}")
-    for p1 in pairs:
-        for p2 in pairs:
-            below = (
-                d.lam_pos[p1[0]] <= d.lam_pos[p2[0]]
-                and d.rho_pos[p1[1]] <= d.rho_pos[p2[1]]
-            )
-            if below != (to_filter[p2] <= to_filter[p1]):
-                raise LawViolation(
-                    f"pair order and filter order disagree at {p1}, {p2}"
-                )
+    to_filter = {p: frozenset(elems) for _, elems, p in _pair_filters(d)}
+    to_pair = {f: _pair_key(d, f) for f in to_filter.values()}
     return to_filter, to_pair
 
 
@@ -300,61 +287,22 @@ def antimatroid_of(d):
     """The antimatroid of filter complements of ``d``.
 
     Feasible sets are the complements of the horizontally convex filters
-    within the ground set between bottom and top.  The four defining laws
-    (empty set feasible, accessibility, union closure, covering the
-    ground) are checked before returning; a failure raises LawViolation.
+    within the ground set between bottom and top.  Its four defining laws
+    (empty set feasible, covering the ground, union closure, accessibility)
+    make up the law "filter complements form an antimatroid".
     """
-    fam = enumerate_hco_filters(d)
-    ground = frozenset(d.interior())
     full = frozenset(bits(_ground_mask(d)))
-    feasible = frozenset(full - f for f in fam.filters)
-    if frozenset() not in feasible:
-        raise LawViolation("empty set must be feasible")
-    union = frozenset()
-    for a in feasible:
-        union |= a
-    if union != ground:
-        raise LawViolation("feasible sets must cover the ground set")
-    for a in feasible:
-        for b in feasible:
-            if a | b not in feasible:
-                raise LawViolation(
-                    f"union of feasible sets {sorted(a)} and {sorted(b)} escapes"
-                )
-    for a in feasible:
-        if a and not any(a - {x} in feasible for x in a):
-            raise LawViolation(
-                f"feasible set {sorted(a)} has no removable element"
-            )
-    return Antimatroid(ground, feasible)
+    feasible = frozenset(full - f for f in enumerate_hco_filters(d).filters)
+    return Antimatroid(frozenset(d.interior()), feasible)
 
 
 def meet_irreducible_filters(d):
     """Principal filters of interior elements, as the meet-irreducibles.
 
-    The meet-irreducible elements of the filter lattice of ``d`` carry
-    exactly the filters of the form "everything above x" for interior x,
-    and the left relation transports along x -> that filter.  Both facts
-    are checked, a failure raising LawViolation; returns {x: its principal
-    filter}.
+    Returns {x: everything above x} for interior x.  That these filters are
+    exactly the ones the meet-irreducible elements of the filter lattice
+    carry, and that the left relation transports along x -> its filter, is
+    the law "meet irreducibles carry principal filters".
     """
-    dd, filters = lattice_from_filters_labeled(d)
-    t = require_slim_semimodular(dd)
-    principal = {
-        x: frozenset(bits(d.up[x])) for x in d.interior()
-    }
-    from_mir = {filters[i] for i in t.mir}
-    if set(principal.values()) != from_mir:
-        raise LawViolation(
-            "meet-irreducible filters are not the principal interior filters"
-        )
-    index = {f: i for i, f in enumerate(filters)}
-    for x in d.interior():
-        for y in d.interior():
-            if d.incomparable(x, y) and d.left(x, y) != dd.left(
-                index[principal[x]], index[principal[y]]
-            ):
-                raise LawViolation(
-                    f"left relation does not transport at ({x}, {y})"
-                )
-    return principal
+    _check_distinct_ends(d)
+    return {x: frozenset(bits(d.up[x])) for x in d.interior()}

@@ -43,7 +43,8 @@ def test_criterion_3_both_constructions_agree():
 
 
 def test_criterion_4_structural_predicates():
-    """Every constructed lattice is slim, semimodular, join-distributive."""
+    """Every constructed lattice is slim, semimodular, join-distributive,
+    and the filter complements form an antimatroid."""
     for size in range(2, 8):
         for q in qp.enumerate_quasiplanar(size):
             lat = qp.lattice_from_filters(q)
@@ -51,8 +52,14 @@ def test_criterion_4_structural_predicates():
             assert qp.is_semimodular(lat)
             assert qp.is_slim(lat)
             assert qp.is_join_distributive(lat)
-            am = qp.antimatroid_of(q)  # axioms are asserted inside
+            am = qp.antimatroid_of(q)
             assert am.ground == frozenset(q.interior())
+            assert frozenset() in am.feasible
+            assert frozenset().union(*am.feasible) == am.ground
+            assert all(a | b in am.feasible for a in am.feasible for b in am.feasible)
+            assert all(
+                any(a - {x} in am.feasible for x in a) for a in am.feasible if a
+            )
     print("criterion 4: structural predicates hold through size 7")
 
 
@@ -121,7 +128,7 @@ def test_criterion_7_desk_fixtures():
     for pair in qp.weak_left_pairs(q5):
         f = to_filter[pair]
         assert to_pair[f] == pair
-        assert f == qp.hco_closure(q5, pair, fam)
+        assert f == qp.hco_closure(q5, pair)
     for f in fam.filters:
         assert to_filter[to_pair[f]] == f
 

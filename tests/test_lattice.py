@@ -1,9 +1,11 @@
 """Lattice tables, predicates, supports, isomorphism, chain reconstruction."""
 
+from dataclasses import replace
+
 import pytest
 
 import quasiplanar as qp
-from quasiplanar import lattice
+from quasiplanar import enumeration, lattice
 
 
 def test_tables_of_capped_diamond():
@@ -175,19 +177,39 @@ def test_tables_are_built_once_per_diagram_instance(monkeypatch):
     assert len(built) == 4
 
 
+def test_diagram_from_chains_draws_the_order_and_the_chains():
+    # every pair of maximal chains covering the join-irreducibles draws the
+    # given order with exactly those chains as its boundary
+    cases = 0
+    for size in range(2, 8):
+        for q in qp.enumerate_quasiplanar(size):
+            d = qp.lattice_from_filters(q)
+            jir = qp.lattice_tables(d).jir
+            chains = qp.maximal_chains(d)
+            for lc in chains:
+                for rc in chains:
+                    if not jir <= set(lc) | set(rc):
+                        continue
+                    got = qp.diagram_from_chains(d.n, d.cover_pairs(), lc, rc)
+                    assert got.up == d.up
+                    assert qp.boundary_chains(got) == (tuple(lc), tuple(rc))
+                    cases += 1
+    # 321 through sizes 3-7, and the one-element lattice of size 2
+    assert cases == 322
+
+
 def test_self_checks_raise_law_violations(monkeypatch):
-    d = qp.capped_diamond()
-    lc, rc = qp.boundary_chains(d)
-    monkeypatch.setattr(lattice, "boundary_chains", lambda e: (lc, lc))
-    with pytest.raises(qp.LawViolation, match="join of its supports"):
-        qp.supports(d)
-    with pytest.raises(qp.LawViolation, match="prescribed chains"):
-        qp.diagram_from_chains(d.n, d.cover_pairs(), lc, rc)
-
-
-def test_diagram_from_chains_checks_the_drawn_order(monkeypatch):
-    d = qp.capped_diamond()
-    lc, rc = qp.boundary_chains(d)
-    monkeypatch.setattr(lattice, "_dominance_diagram", lambda keys: qp.chain(5))
-    with pytest.raises(qp.LawViolation, match="do not draw the given order"):
-        qp.diagram_from_chains(d.n, d.cover_pairs(), lc, rc)
+    # supports only construct; the law fails forged join and meet tables
+    # with the message of each check
+    real = enumeration.require_slim_semimodular
+    for forged, message in (
+        (lambda d: replace(real(d), join=real(d).meet),
+         "element is not the join of its supports"),
+        (lambda d: replace(real(d), meet=real(d).join),
+         "element is not the meet of its dual supports"),
+    ):
+        monkeypatch.setattr(enumeration, "require_slim_semimodular", forged)
+        law = {r.name: r for r in qp.verify_suite(5).results}[
+            "supports compose every element"
+        ]
+        assert message in law.witness, law.witness

@@ -3,10 +3,11 @@
 A diagram is built from its two sweep positions; every construction that
 used to assemble order and left masks by hand now computes positions
 instead.  The mask-building versions live on here as oracles, next to a
-subset scan for the filter family, a minimal-bounds search for the
-lattice tables, the triple scan for slimness, the all-pairs
-``validate`` that read the order twice, and the backtracking solver that
-oriented a bare order before implication classes did.
+subset scan for the filter family, the intersection of the filters as
+the closure, a minimal-bounds search for the lattice tables, the triple
+scan for slimness, meet representations over every meet-irreducible, the
+all-pairs ``validate`` that read the order twice, and the backtracking
+solver that oriented a bare order before implication classes did.
 """
 
 import random
@@ -20,6 +21,7 @@ from quasiplanar.diagram import (
     Diagram, _check_pairs, _listed, _order, bits, validate,
 )
 from quasiplanar.enumeration import _labeled_posets
+from quasiplanar.transform import _ground_mask
 from quasiplanar.errors import (
     LeftIncomplete,
     LeftOnComparable,
@@ -312,6 +314,43 @@ def test_filter_lattice_of_a_40_element_diagram():
     assert qp.similar(qp.to_quasiplanar(beta2), q)
 
 
+# -- the closure against the intersection of the filters -------------------
+
+
+def _hco_closure_by_intersection(d, elements, family):
+    """The intersection of every filter of ``family`` that holds ``elements``.
+
+    The family is intersection closed and holds the full ground set, so
+    this is the closure by definition.
+    """
+    want = 0
+    for e in elements:
+        want |= 1 << e
+    out = _ground_mask(d)
+    for f in family.filters:
+        m = 0
+        for e in f:
+            m |= 1 << e
+        if not want & ~m:
+            out &= m
+    return frozenset(bits(out))
+
+
+def test_hco_closure_is_the_intersection_of_the_filters_holding_it():
+    checked = 0
+    for size in range(2, 8):
+        for q in qp.enumerate_quasiplanar(size):
+            fam = qp.enumerate_hco_filters(q)
+            ground = [x for x in range(q.n) if x != q.bottom]
+            for r in range(4):
+                for elems in combinations(ground, r):
+                    assert qp.hco_closure(q, elems) == (
+                        _hco_closure_by_intersection(q, elems, fam)
+                    ), (qp.canonical_form(q), elems)
+                    checked += 1
+    assert checked == 5776
+
+
 # -- the lattice tables against the minimal-bounds search ------------------
 
 
@@ -402,6 +441,41 @@ def test_is_slim_matches_the_triple_scan():
                     checked += 1
                     fat += not want
     assert checked > 2000 and fat > 500
+
+
+# -- meet representations against the scan of every meet-irreducible -------
+
+
+def _irredundant_meet_representations_by_full_scan(d, t, x):
+    def meet_all(elems):
+        m = d.top
+        for e in elems:
+            m = t.meet[m][e]
+        return m
+
+    reps = []
+    mir = sorted(t.mir)
+    for r in range(len(mir) + 1):
+        for sub in combinations(mir, r):
+            if meet_all(sub) != x:
+                continue
+            if all(meet_all(sub[:i] + sub[i + 1:]) != x for i in range(r)):
+                reps.append(frozenset(sub))
+    return reps
+
+
+def test_meet_representations_match_the_scan_of_every_meet_irreducible():
+    checked = 0
+    for size in range(2, 8):
+        for q in qp.enumerate_quasiplanar(size):
+            d = qp.lattice_from_filters(q)
+            t = qp.require_slim_semimodular(d)
+            for x in range(d.n):
+                assert qp.irredundant_meet_representations(d, t, x) == (
+                    _irredundant_meet_representations_by_full_scan(d, t, x)
+                )
+                checked += 1
+    assert checked == 1555
 
 
 # -- validate against the all-pairs version that read the order twice ------

@@ -1,9 +1,11 @@
 """Pair and filter lattices, closures, rebuilds, antimatroids."""
 
+from itertools import combinations
+
 import pytest
 
 import quasiplanar as qp
-from quasiplanar import transform
+from quasiplanar import enumeration
 
 
 def test_weak_left_pairs_of_capped_diamond():
@@ -55,8 +57,7 @@ def test_hco_closure_on_capped_diamond():
     assert qp.hco_closure(d, (1,)) == frozenset({1, 3, 4})
     assert qp.hco_closure(d, (4,)) == frozenset({4})
     assert qp.hco_closure(d, ()) == frozenset({4})
-    fam = qp.enumerate_hco_filters(d)
-    assert qp.hco_closure(d, (2,), fam) == frozenset({2, 3, 4})
+    assert qp.hco_closure(d, (2,)) == frozenset({2, 3, 4})
 
 
 def test_hco_closure_rejects_ground_violations():
@@ -65,6 +66,12 @@ def test_hco_closure_rejects_ground_violations():
         qp.hco_closure(d, (0,))
     with pytest.raises(qp.InvalidGroundElement):
         qp.hco_closure(d, (9,))
+    # no coercion: a float or a string is no element, even one that int() takes
+    for bad in ((1.9,), ("1",)):
+        with pytest.raises(qp.InvalidGroundElement):
+            qp.hco_closure(d, bad)
+    with pytest.raises(qp.InvalidGroundElement):
+        qp.min_between(d, 1.0, 2)
 
 
 def test_min_between():
@@ -107,6 +114,14 @@ def test_transforms_reject_one_element_input():
         qp.weak_left_pairs(one)
     with pytest.raises(ValueError):
         qp.enumerate_hco_filters(one)
+    for transform_of in (
+        lambda d: qp.hco_closure(d, ()),
+        qp.meet_irreducible_filters,
+        qp.antimatroid_of,
+        qp.pair_filter_maps,
+    ):
+        with pytest.raises(ValueError, match="distinct bottom and top"):
+            transform_of(one)
 
 
 def test_pair_filter_maps_on_capped_diamond():
@@ -161,26 +176,99 @@ def test_meet_irreducible_filters_of_capped_diamond():
     }
 
 
-def test_self_checks_raise_law_violations(monkeypatch):
-    d = qp.capped_diamond()
-    real = transform.enumerate_hco_filters
-
-    def without_ground(q):
+def _forged_family(real):
+    # the second filter replaced by the first, so one filter is listed twice
+    def forged(q):
         fam = real(q)
-        return qp.FilterFamily(fam.filters[:-1], *(
+        return qp.FilterFamily(fam.filters[:1] * 2 + fam.filters[2:], *(
             getattr(fam, k)
             for k in ("left_chain", "right_chain", "left_steps", "right_steps")
         ))
+    return forged
 
-    monkeypatch.setattr(transform, "enumerate_hco_filters", without_ground)
-    with pytest.raises(qp.LawViolation, match="empty set must be feasible"):
-        qp.antimatroid_of(d)
-    monkeypatch.undo()
-    real_labeled = transform.lattice_from_filters_labeled
-    monkeypatch.setattr(
-        transform, "lattice_from_filters_labeled",
-        lambda q: (qp.mirror(real_labeled(q)[0]), real_labeled(q)[1]),
-    )
-    with pytest.raises(qp.LawViolation, match="does not transport"):
-        qp.meet_irreducible_filters(d)
+
+def _forged_maps(real, change):
+    def forged(q):
+        return change(q, *real(q))
+    return forged
+
+
+def _twice_listed(q, to_filter, to_pair):
+    # the pair of the second filter now maps to the first one too
+    first, second = sorted(to_filter.values(), key=lambda f: (len(f), sorted(f)))[:2]
+    moved = {p: first if f == second else f for p, f in to_filter.items()}
+    return moved, to_pair
+
+
+def _swap_incomparable(q, to_filter, to_pair):
+    # exchange the filters of two incomparable pairs in both maps
+    for p, r in combinations(to_filter, 2):
+        fp, fr = to_filter[p], to_filter[r]
+        if not (fp <= fr or fr <= fp):
+            return {**to_filter, p: fr, r: fp}, {**to_pair, fp: r, fr: p}
+    return to_filter, to_pair
+
+
+def _forged_antimatroid(real, change):
+    def forged(q):
+        am = real(q)
+        return qp.Antimatroid(am.ground, change(q, am))
+    return forged
+
+
+SELF_CHECK_FORGERIES = (
+    ("pair and filter maps are reciprocal",
+     "pair closures do not exhaust the filters",
+     {"pair_filter_maps": lambda real: _forged_maps(real, _twice_listed)}),
+    ("pair and filter maps are reciprocal",
+     "round trip moved a filter",
+     {"pair_filter_maps": lambda real: _forged_maps(
+         real, lambda q, f, to_pair: (
+             f, {g: (q.top, q.top) for g in to_pair}))}),
+    # the family lists the same filter twice, so the filters are exhausted
+    ("pair and filter maps are reciprocal",
+     "round trip moved the pair",
+     {"pair_filter_maps": lambda real: _forged_maps(real, _twice_listed),
+      "enumerate_hco_filters": _forged_family}),
+    ("pair and filter maps are reciprocal",
+     "pair order and filter order disagree",
+     {"pair_filter_maps": lambda real: _forged_maps(real, _swap_incomparable)}),
+    # the complement of the ground filter is the empty set
+    ("filter complements form an antimatroid",
+     "empty set must be feasible",
+     {"antimatroid_of": lambda real: _forged_antimatroid(
+         real, lambda q, am: am.feasible - {frozenset()})}),
+    ("filter complements form an antimatroid",
+     "feasible sets must cover the ground set",
+     {"antimatroid_of": lambda real: _forged_antimatroid(
+         real, lambda q, am: am.feasible | {frozenset({q.bottom})})}),
+    ("filter complements form an antimatroid",
+     "escapes",
+     {"antimatroid_of": lambda real: _forged_antimatroid(
+         real, lambda q, am: am.feasible | {frozenset(q.interior()[-1:])})}),
+    ("filter complements form an antimatroid",
+     "has no removable element",
+     {"antimatroid_of": lambda real: _forged_antimatroid(
+         real, lambda q, am: frozenset({frozenset(), am.ground}))}),
+    ("meet irreducibles carry principal filters",
+     "meet-irreducible filters are not the principal interior filters",
+     {"meet_irreducible_filters": lambda real: lambda q: {
+         x: frozenset({q.top}) for x in q.interior()}}),
+    ("meet irreducibles carry principal filters",
+     "does not transport",
+     {"lattice_from_filters_labeled": lambda real: lambda q: (
+         qp.mirror(real(q)[0]), real(q)[1])}),
+)
+
+
+def test_self_checks_raise_law_violations(monkeypatch):
+    # the constructions only construct; each law of the suite fails a
+    # forged construction with the message of its check
+    for law, message, forgeries in SELF_CHECK_FORGERIES:
+        with monkeypatch.context() as m:
+            for name, forge in forgeries.items():
+                m.setattr(enumeration, name, forge(getattr(enumeration, name)))
+            report = qp.verify_suite(5)
+        witness = {r.name: r for r in report.results}[law].witness
+        assert message in witness, (law, message, witness)
     assert issubclass(qp.LawViolation, ValueError)
