@@ -21,7 +21,6 @@ from .enumeration import (
 )
 from .errors import NotSlimSemimodular
 from .io import document_of, parse, render_dot, serialize
-from .lattice import require_slim_semimodular
 from .transform import lattice_from_filters, lattice_from_pairs, to_quasiplanar
 
 
@@ -72,14 +71,17 @@ def _cmd_beta(args):
 def _cmd_roundtrip(args):
     d = parse(_read(args.file))
     mode = args.direction
-    if mode == "auto":
+    if mode != "diagram":
+        # auto tries the lattice direction; to_quasiplanar checks the input
         try:
-            require_slim_semimodular(d)
+            alpha = to_quasiplanar(d)
             mode = "lattice"
         except NotSlimSemimodular:
+            if mode == "lattice":
+                raise
             mode = "diagram"
     if mode == "lattice":
-        back = lattice_from_filters(to_quasiplanar(d))
+        back = lattice_from_filters(alpha)
     else:
         back = to_quasiplanar(lattice_from_filters(d))
     ok = similar(back, d)

@@ -188,6 +188,12 @@ def _listed(elements, shown=8):
     return f"{elements[:shown]} and {len(elements) - shown} more"
 
 
+def _shown(v):
+    """A caller's value for an error message, a huge integer by its size."""
+    huge = isinstance(v, int) and not -10**20 < v < 10**20
+    return f"an integer of {v.bit_length()} bits" if huge else repr(v)
+
+
 def _order(n, cover_list):
     """Strict pairs -> reflexive up-set masks of a bounded partial order.
 
@@ -197,9 +203,9 @@ def _order(n, cover_list):
     """
     succ = [[] for _ in range(n)]
     indeg = [0] * n
-    for a, b in cover_list:
+    for i, (a, b) in enumerate(cover_list):
         if a == b:
-            raise NotAPartialOrder(f"self-loop at element {a}")
+            raise NotAPartialOrder(f"self-loop at element {a}", f"/covers/{i}")
         succ[a].append(b)
         indeg[b] += 1
     bottoms = [x for x in range(n) if not indeg[x]]
@@ -212,7 +218,7 @@ def _order(n, cover_list):
     if len(topo) != n:
         cyclic = [x for x in range(n) if indeg[x]]
         raise NotAPartialOrder(
-            f"cover relation has a cycle through {_listed(cyclic)}"
+            f"cover relation has a cycle through {_listed(cyclic)}", "/covers"
         )
     if len(bottoms) != 1:
         raise NotBounded(f"minimal elements {_listed(bottoms)}, expected exactly one")
@@ -237,9 +243,17 @@ def _check_pairs(n, pairs, what):
         except (TypeError, ValueError):
             raise ValueError(f"{what}[{i}] is not a pair of integers") from None
         if not (0 <= a < n and 0 <= b < n):
-            raise ValueError(f"{what}[{i}] = ({a}, {b}) is out of range for n={n}")
+            pair = f"({_shown(a)}, {_shown(b)})"
+            raise ValueError(f"{what}[{i}] = {pair} is out of range for n={_shown(n)}")
         out.append((a, b))
     return out
+
+
+def _checked(n, covers, left=()):
+    """validate's input checks: n, then each pair of ``covers`` and ``left``."""
+    if not isinstance(n, int) or n < 1:
+        raise ValueError(f"n must be a positive integer, got {_shown(n)}")
+    return _check_pairs(n, covers, "covers"), _check_pairs(n, left, "left")
 
 
 def validate(n, covers, left=()):
@@ -251,29 +265,28 @@ def validate(n, covers, left=()):
 
     Raises ValueError (a pair not of two integers in range), then
     NotAPartialOrder, NotBounded, LeftOnComparable, LeftIncomplete, or
-    NotLinearizable, in roughly that order of detection.  The order is read
+    NotLinearizable, in roughly that order of detection, each with the JSON
+    pointer of its pair or list, if any, in ``location``.  The order is read
     once, by :func:`_order`; whether left orients every incomparable pair is
     a count, and both sweep positions come from one formula.
 
     n = 1 is allowed: the one-element diagram is the filter lattice of the
     two-element chain and turns up as a construction result.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    cover_list = _check_pairs(n, list(covers), "covers")
-    left_list = _check_pairs(n, list(left), "left")
+    return _diagram_of(n, *_checked(n, covers, left))
+
+
+def _diagram_of(n, cover_list, left_list):
+    """:func:`validate` after its input checks: each pair is in 0..n-1."""
     up = _order(n, cover_list)
     lft, rgt = [0] * n, [0] * n
-    for a, b in left_list:
-        if a == b:
-            raise LeftOnComparable(f"left pair ({a}, {b}) is reflexive")
-        if up[a] & (1 << b) or up[b] & (1 << a):
-            raise LeftOnComparable(
-                f"left pair ({a}, {b}) relates comparable elements"
-            )
+    for i, (a, b) in enumerate(left_list):
+        if up[a] & (1 << b) or up[b] & (1 << a):  # up[a] holds a itself
+            why = "is reflexive" if a == b else "relates comparable elements"
+            raise LeftOnComparable(f"left pair ({a}, {b}) {why}", f"/left/{i}")
         if lft[b] & (1 << a):
             raise NotLinearizable(
-                f"pair ({a}, {b}) is oriented in both directions"
+                f"pair ({a}, {b}) is oriented in both directions", f"/left/{i}"
             )
         lft[a] |= 1 << b
         rgt[b] |= 1 << a
@@ -285,7 +298,7 @@ def validate(n, covers, left=()):
             for y in bits(~(up[x] | lft[x] | rgt[x]) & ((1 << n) - (2 << x))):
                 if not up[y] & (1 << x):
                     raise LeftIncomplete(
-                        f"incomparable pair ({x}, {y}) carries no orientation"
+                        f"incomparable pair ({x}, {y}) carries no orientation", "/left"
                     )
     # Every pair is now related once, so a sweep is linear iff the positions
     # n - 1 - |after x| form a permutation; after x come the elements above
@@ -294,7 +307,7 @@ def validate(n, covers, left=()):
     for side, what in ((lft, "left"), (rgt, "inverted left")):
         pos = [n - above[x] - side[x].bit_count() for x in range(n)]
         if sorted(pos) != list(range(n)):
-            raise NotLinearizable(f"order + {what} is not a linear order")
+            raise NotLinearizable(f"order + {what} is not a linear order", "/left")
         sweeps.append(pos)
     return Diagram(*sweeps)
 
@@ -459,9 +472,7 @@ def order_dimension_le2(n, covers):
     (Golumbic's TRO theorem).  No search: each arc is grown once, in O(n)
     steps.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    cover_list = _check_pairs(n, list(covers), "covers")
+    cover_list, _ = _checked(n, covers)
     up = _order(n, cover_list)
     dn = [0] * n
     for x in range(n):
@@ -488,4 +499,4 @@ def order_dimension_le2(n, covers):
                 free[a] &= ~(1 << b)
                 free[b] &= ~(1 << a)
             left += arcs
-    return validate(n, cover_list, left)
+    return _diagram_of(n, cover_list, left)

@@ -600,7 +600,9 @@ def _check_supports(c):
     lrank = {x: i for i, x in enumerate(lc)}
     rrank = {x: i for i, x in enumerate(rc)}
     # the drawing diagram_from_chains makes from the support heights
-    keys = [(rrank[sup.rsp[x]], lrank[sup.lsp[x]]) for x in range(d.n)]
+    keys = [(rrank.get(sup.rsp[x]), lrank.get(sup.lsp[x])) for x in range(d.n)]
+    for x, key in enumerate(keys):
+        _require(None not in key, "support of element {} is off its boundary chain", x)
     _require(len(set(keys)) == d.n, "two elements share their support ranks")
     _require_same_positions(
         _dominance_diagram(keys), d, "support ranks misplace element {}"

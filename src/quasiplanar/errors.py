@@ -4,13 +4,11 @@
 class DiagramError(ValueError):
     """Base class for rejections of raw diagram input.
 
-    ``location`` is a JSON-pointer-style path filled in by the document
-    parser when the offending entry can be pinpointed.
+    ``location`` is the JSON pointer of the offending pair or list, set where
+    the error is raised, or None; ``parse`` puts it in front of the message.
     """
 
     def __init__(self, message, location=None):
-        if location:
-            message = f"{location}: {message}"
         super().__init__(message)
         self.location = location
 

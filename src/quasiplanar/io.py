@@ -9,10 +9,9 @@ compact separators, so equal diagrams produce byte-equal documents.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 
-from .diagram import validate
+from .diagram import _diagram_of, _shown, validate
 from .errors import DiagramError, MalformedDocument
 
 _KEYS = ("n", "covers", "left", "name")
@@ -37,7 +36,6 @@ def _parse_pairs(value, key, n):
             raise MalformedDocument(
                 "entry must be a two-element array", f"/{key}/{i}"
             )
-        pair = []
         for j, v in enumerate(entry):
             if type(v) is not int:
                 raise MalformedDocument(
@@ -45,10 +43,10 @@ def _parse_pairs(value, key, n):
                 )
             if not 0 <= v < n:
                 raise MalformedDocument(
-                    f"element {v} is out of range for n={n}", f"/{key}/{i}/{j}"
+                    f"element {_shown(v)} is out of range for n={_shown(n)}",
+                    f"/{key}/{i}/{j}",
                 )
-            pair.append(v)
-        out.append(tuple(pair))
+        out.append(tuple(entry))
     return tuple(out)
 
 
@@ -60,7 +58,8 @@ def parse_document(text):
     """
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
+        # a decode error, an integer too long to convert, or too deep nesting
         raise MalformedDocument(f"not valid JSON: {e}") from None
     if not isinstance(data, dict):
         raise MalformedDocument("document must be a JSON object")
@@ -85,35 +84,21 @@ def parse_document(text):
 
 
 def to_diagram(doc):
-    """Validate a parsed document into a :class:`Diagram`."""
+    """Validate a document, pairs included: one built by hand is unchecked."""
     return validate(doc.n, doc.covers, doc.left)
 
 
-def _locate(e, doc):
-    """Best-effort JSON pointer for a validation error's offending entry."""
-    m = re.search(r"\((\d+), (\d+)\)", str(e))
-    if m:
-        pair = (int(m.group(1)), int(m.group(2)))
-        for key, entries in (("covers", doc.covers), ("left", doc.left)):
-            if pair in entries:
-                return f"/{key}/{entries.index(pair)}"
-    name = type(e).__name__
-    if name in ("LeftOnComparable", "LeftIncomplete", "NotLinearizable"):
-        return "/left"
-    if name == "NotAPartialOrder":
-        return "/covers"
-    return ""
-
-
 def parse(text):
-    """Parse and validate in one step, decorating errors with locations."""
+    """Parse and validate in one step, checking each pair once.
+
+    A validation error's ``location`` goes in front of its message.
+    """
     doc = parse_document(text)
     try:
-        return to_diagram(doc)
+        return _diagram_of(doc.n, doc.covers, doc.left)
     except DiagramError as e:
-        loc = _locate(e, doc)
-        if loc and not e.location:
-            raise type(e)(str(e), loc) from None
+        if e.location:
+            raise type(e)(f"{e.location}: {e}", e.location) from None
         raise
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-from .diagram import _dominance_diagram, _maximal_in, _minimal_in, bits
+from .diagram import _dominance_diagram, _maximal_in, _minimal_in, _shown, bits
 from .errors import InvalidGroundElement
 from .lattice import require_slim_semimodular
 
@@ -52,7 +52,7 @@ def _ground_element(d, e):
         ) from None
     if not 0 <= e < d.n or e == d.bottom:
         raise InvalidGroundElement(
-            f"element {e} is not above the bottom of the diagram"
+            f"element {_shown(e)} is not above the bottom of the diagram"
         )
     return e
 

@@ -1,11 +1,12 @@
 """End-to-end command line tests plus in-process exit code checks."""
 
+import io
 import json
 
 import pytest
 
 import quasiplanar as qp
-from quasiplanar import cli
+from quasiplanar import cli, lattice
 
 Q5_TEXT = '{"n":5,"covers":[[0,1],[0,2],[1,3],[2,3],[3,4]],"left":[[1,2]]}'
 ENUM4_LINES = [
@@ -188,6 +189,20 @@ def test_roundtrip_mismatch_exits_two(monkeypatch, capsys, q5_file):
     out = capsys.readouterr().out
     assert code == 2
     assert json.loads(out) == {"mode": "lattice", "similar": False}
+
+
+def test_roundtrip_checks_a_lattice_once(monkeypatch, capsys):
+    runs = []
+    semimodular = lattice._semimodular
+    monkeypatch.setattr(
+        lattice, "_semimodular", lambda d, t: runs.append(d) or semimodular(d, t)
+    )
+    monkeypatch.setattr("sys.stdin", io.StringIO(Q5_TEXT))
+    code = cli.main(["roundtrip", "-"])
+    assert (code, capsys.readouterr().out) == (
+        0, '{"mode":"lattice","similar":true}\n'
+    )
+    assert len(runs) == 1
 
 
 def test_failed_verification_exits_two(monkeypatch, capsys):

@@ -272,6 +272,16 @@ def test_validate_messages_stay_short_on_huge_input():
     with pytest.raises(qp.NotAPartialOrder) as exc:
         qp.validate(3000, cycle)
     assert len(str(exc.value)) < 200 and "and 2992 more" in str(exc.value)
+    # an integer too long to print, or even to convert to text, by its size
+    for n, covers in (
+        (3, [(0, 10**4000)]), (3, [(0, 10**5000)]), (10**5000, [(0, -1)]),
+    ):
+        with pytest.raises(ValueError, match=r"^covers\[0\] ") as exc:
+            qp.validate(n, covers)
+        assert type(exc.value) is ValueError and len(str(exc.value)) < 200
+    with pytest.raises(ValueError, match="^n must be a positive") as exc:
+        qp.validate(-10**5000, [])
+    assert len(str(exc.value)) < 200
 
 
 def test_validate_refuses_a_huge_unbounded_order_in_small_memory():
@@ -295,6 +305,21 @@ def test_cli_refuses_a_huge_unbounded_document_in_one_line(cli):
     assert (code, out) == (1, "")
     assert len(err.splitlines()) == 1 and len(err) < 200
     assert err.startswith("NotBounded: minimal elements [0, 1,")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n":3,"covers":[[0,%s]]}' % ("9" * 4000),
+        '{"n":3,"covers":[[0,%s]]}' % ("9" * 5000),
+        "[" * 100000,
+    ],
+)
+def test_cli_rejects_hostile_documents_in_one_line(cli, text):
+    code, out, err = cli("validate", "-", stdin=text)
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and len(err) < 200
+    assert err.startswith("MalformedDocument: ")
 
 
 def test_constructor_rejects_bad_positions_under_python_O():

@@ -5,6 +5,7 @@ import json
 import pytest
 
 import quasiplanar as qp
+from quasiplanar import diagram
 
 Q5_TEXT = '{"n":5,"covers":[[0,1],[0,2],[1,3],[2,3],[3,4]],"left":[[1,2]]}'
 
@@ -84,6 +85,19 @@ def test_validation_errors_gain_locations_through_parse():
     assert info.value.location == "/left/0"
     assert str(info.value).startswith("/left/0: ")
 
+    # a left pair that is also a cover is blamed on the left pair
+    on_a_cover = (
+        '{"n":4,"covers":[[0,1],[0,2],[1,3],[2,3]],"left":[[1,2],[0,1]]}'
+    )
+    with pytest.raises(qp.LeftOnComparable) as info:
+        qp.parse(on_a_cover)
+    assert info.value.location == "/left/1"
+
+    self_loop = '{"n":3,"covers":[[0,1],[1,1],[1,2]]}'
+    with pytest.raises(qp.NotAPartialOrder) as info:
+        qp.parse(self_loop)
+    assert info.value.location == "/covers/1"
+
     doubled = (
         '{"n":4,"covers":[[0,1],[0,2],[1,3],[2,3]],"left":[[1,2],[2,1]]}'
     )
@@ -105,6 +119,25 @@ def test_validation_errors_gain_locations_through_parse():
     with pytest.raises(qp.NotBounded) as info:
         qp.parse(unbounded)
     assert info.value.location is None
+
+
+def test_each_pair_is_checked_once(monkeypatch):
+    calls = []
+    check_pairs = diagram._check_pairs
+    q5 = qp.capped_diamond()
+
+    def counted(n, pairs, what):
+        calls.append(what)
+        return check_pairs(n, pairs, what)
+
+    monkeypatch.setattr(diagram, "_check_pairs", counted)
+    # parse builds from the pairs parse_document checked
+    assert qp.parse(Q5_TEXT) == q5
+    with pytest.raises(qp.LeftIncomplete):
+        qp.parse('{"n":4,"covers":[[0,1],[0,2],[1,3],[2,3]]}')
+    assert calls == []
+    qp.validate(4, [(0, 1), (0, 2), (1, 3), (2, 3)], [(1, 2)])
+    assert calls == ["covers", "left"]
 
 
 def test_grid_layout_of_the_diamond():

@@ -199,17 +199,25 @@ def test_diagram_from_chains_draws_the_order_and_the_chains():
 
 
 def test_self_checks_raise_law_violations(monkeypatch):
-    # supports only construct; the law fails forged join and meet tables
-    # with the message of each check
+    # supports only construct; the law fails forged join and meet tables,
+    # and a right chain that misses the right supports, with the message of
+    # each check
     real = enumeration.require_slim_semimodular
-    for forged, message in (
-        (lambda d: replace(real(d), join=real(d).meet),
+    chains = enumeration.boundary_chains
+    for name, forged, message in (
+        ("require_slim_semimodular",
+         lambda d: replace(real(d), join=real(d).meet),
          "element is not the join of its supports"),
-        (lambda d: replace(real(d), meet=real(d).join),
+        ("require_slim_semimodular",
+         lambda d: replace(real(d), meet=real(d).join),
          "element is not the meet of its dual supports"),
+        ("boundary_chains",
+         lambda d: (chains(d)[0],) * 2,
+         "perm (1, 3, 2): support of element 2 is off its boundary chain"),
     ):
-        monkeypatch.setattr(enumeration, "require_slim_semimodular", forged)
+        monkeypatch.setattr(enumeration, name, forged)
         law = {r.name: r for r in qp.verify_suite(5).results}[
             "supports compose every element"
         ]
         assert message in law.witness, law.witness
+        monkeypatch.undo()

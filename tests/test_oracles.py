@@ -10,6 +10,7 @@ all-pairs ``validate`` that read the order twice, and the backtracking
 solver that oriented a bare order before implication classes did.
 """
 
+import json
 import random
 from itertools import combinations, permutations
 
@@ -588,9 +589,22 @@ def _outcome(validate, n, covers, left):
     return d.lam_pos, d.rho_pos
 
 
+def _parse(n, covers, left):
+    """``qp.parse`` of the document of these pairs, its locations cut off."""
+    try:
+        return qp.parse(json.dumps({"n": n, "covers": covers, "left": left}))
+    except qp.DiagramError as e:
+        if not e.location:
+            raise
+        prefix = f"{e.location}: "
+        assert str(e).startswith(prefix), e
+        raise type(e)(str(e).removeprefix(prefix)) from None
+
+
 def _assert_same_outcome(n, covers, left):
     want = _outcome(_validate_reference, n, covers, left)
-    assert _outcome(qp.validate, n, covers, left) == want, (n, covers, left)
+    for validate in (qp.validate, _parse):
+        assert _outcome(validate, n, covers, left) == want, (n, covers, left)
     return want
 
 

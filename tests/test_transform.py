@@ -72,6 +72,13 @@ def test_hco_closure_rejects_ground_violations():
             qp.hco_closure(d, bad)
     with pytest.raises(qp.InvalidGroundElement):
         qp.min_between(d, 1.0, 2)
+    # an integer too long to print, or even to convert to text, by its size
+    for huge in (10**4000, -10**5000):
+        for call in (lambda: qp.hco_closure(d, (huge,)),
+                     lambda: qp.min_between(d, huge, 2)):
+            with pytest.raises(qp.InvalidGroundElement) as exc:
+                call()
+            assert len(str(exc.value)) < 200
 
 
 def test_min_between():
