@@ -27,7 +27,9 @@ inverts it, which is what makes exhaustive enumeration by size possible.
 from __future__ import annotations
 
 import operator
+from bisect import bisect
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .errors import (
     LeftIncomplete,
@@ -49,17 +51,89 @@ def bits(mask):
         mask ^= low
 
 
+def _order_masks(d):
+    """The sweep orders and the up, down, left and right masks of ``d``."""
+    n, lam, rho = d.n, d.lam_pos, d.rho_pos
+    lam_order, rho_order = [0] * n, [0] * n
+    for x in range(n):
+        lam_order[lam[x]] = x
+        rho_order[rho[x]] = x
+    # before_l[x], before_r[x]: masks of the elements x follows in each sweep
+    before_l, before_r = [0] * n, [0] * n
+    for order, before in ((lam_order, before_l), (rho_order, before_r)):
+        seen = 0
+        for x in order:
+            before[x] = seen
+            seen |= 1 << x
+    full = (1 << n) - 1
+    up, dn, lft, rgt = [], [], [], []
+    for x in range(n):
+        bl, br, bit = before_l[x], before_r[x], 1 << x
+        al, ar = full ^ bl ^ bit, full ^ br ^ bit
+        up.append(al & ar | bit)
+        dn.append(bl & br | bit)
+        lft.append(al & br)
+        rgt.append(bl & ar)
+    return {
+        "lam_order": tuple(lam_order), "rho_order": tuple(rho_order),
+        "up": tuple(up), "dn": tuple(dn), "lft": tuple(lft), "rgt": tuple(rgt),
+    }
+
+
+def _cover_masks(d):
+    """The upper and lower cover masks of ``d``, from its cover pairs."""
+    upcov, dncov = [0] * d.n, [0] * d.n
+    for x, y in d.cover_pairs():
+        upcov[x] |= 1 << y
+        dncov[y] |= 1 << x
+    return {"upcov": tuple(upcov), "dncov": tuple(dncov)}
+
+
+class _Derived:
+    """A field of a Diagram computed with its group on first read, then kept.
+
+    A non-data descriptor: ``build(d)`` returns the whole group as a dict,
+    whose fields are set on the instance, where every later read finds them
+    without calling here.  A ``__getattr__`` hook would do the same but
+    slow every attribute read of the class, since CPython does not
+    specialise reads on a type with one; ``functools.cached_property``
+    takes a lock on each first read on Python 3.10 and 3.11.
+    """
+
+    def __init__(self, build):
+        self.build = build
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, d, owner=None):
+        if d is None:
+            return self
+        group = self.build(d)
+        for name, value in group.items():
+            object.__setattr__(d, name, value)
+        return group[self.name]
+
+
 @dataclass(frozen=True)
 class Diagram:
     """An immutable valid diagram, given by its two sweep positions.
 
     ``lam_pos[x]`` is the position of x in the left-to-right sweep and
     ``rho_pos[x]`` its position in the right-to-left sweep.  These two
-    fields carry identity; everything else is derived on construction:
-    ``up[x]``/``dn[x]`` are the bitmasks of elements >= x / <= x (x
-    included), ``lft[x]``/``rgt[x]`` those of the elements x is left /
-    right of, ``upcov``/``dncov`` the cover masks.  Instances are hashable
-    values, safe to share and to use as dict keys.
+    fields carry identity; the constructor stores them with ``n``,
+    ``bottom`` and ``top`` and nothing else.  The other fields are derived
+    on first read, one group at a time, and kept:
+
+    * ``lam_order``/``rho_order`` (the elements in each sweep's order),
+      ``up[x]``/``dn[x]`` (the bitmasks of elements >= x / <= x, x
+      included) and ``lft[x]``/``rgt[x]`` (those of the elements x is left
+      / right of): O(n²) bits, built together on the first read of any;
+    * ``upcov``/``dncov``, the cover masks, folded from :meth:`cover_pairs`.
+
+    So comparing, hashing, canonical forms and the pair lists cost no
+    masks.  Instances are hashable values, safe to share and to use as
+    dict keys.
 
     ``Diagram(lam_pos, rho_pos)`` is the only constructor.  It raises
     NotLinearizable unless both arguments are permutations of 0..n-1 and
@@ -72,68 +146,36 @@ class Diagram:
     rho_pos: tuple[int, ...]
 
     n: int = field(init=False, compare=False, repr=False)
-    up: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    lft: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    dn: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    rgt: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    upcov: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    dncov: tuple[int, ...] = field(init=False, compare=False, repr=False)
     bottom: int = field(init=False, compare=False, repr=False)
     top: int = field(init=False, compare=False, repr=False)
-    lam_order: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    rho_order: tuple[int, ...] = field(init=False, compare=False, repr=False)
     # lattice tables, filled in by quasiplanar.lattice.lattice_tables
     _tables: object = field(default=None, init=False, compare=False, repr=False)
+
+    lam_order = _Derived(_order_masks)
+    rho_order = _Derived(_order_masks)
+    up = _Derived(_order_masks)
+    dn = _Derived(_order_masks)
+    lft = _Derived(_order_masks)
+    rgt = _Derived(_order_masks)
+    upcov = _Derived(_cover_masks)
+    dncov = _Derived(_cover_masks)
 
     def __post_init__(self):
         lam, rho = tuple(self.lam_pos), tuple(self.rho_pos)
         n = len(lam)
-        if sorted(lam) != list(range(n)) or sorted(rho) != list(range(n)):
+        ids = list(range(n))
+        if sorted(lam) != ids or sorted(rho) != ids:
             raise NotLinearizable("sweep positions must be permutations of 0..n-1")
-        lam_order, rho_order = [0] * n, [0] * n
-        for x in range(n):
-            lam_order[lam[x]] = x
-            rho_order[rho[x]] = x
-        if not n or lam_order[0] != rho_order[0] or lam_order[-1] != rho_order[-1]:
+        if not n or rho[lam.index(0)] != 0 or rho[lam.index(n - 1)] != n - 1:
             raise NotBounded("the two sweeps must share their first and last element")
-        # before_l[x], before_r[x]: masks of the elements x follows in each sweep
-        before_l, before_r = [0] * n, [0] * n
-        for order, before in ((lam_order, before_l), (rho_order, before_r)):
-            seen = 0
-            for x in order:
-                before[x] = seen
-                seen |= 1 << x
-        full = (1 << n) - 1
-        up, dn, lft, rgt = [], [], [], []
-        for x in range(n):
-            bl, br, bit = before_l[x], before_r[x], 1 << x
-            al, ar = full ^ bl ^ bit, full ^ br ^ bit
-            up.append(al & ar | bit)
-            dn.append(bl & br | bit)
-            lft.append(al & br)
-            rgt.append(bl & ar)
-        # y covers x when nothing follows x and precedes y in both sweeps;
-        # once the bound is rho[x] + 1, no later element can be a cover
-        upcov, dncov = [0] * n, [0] * n
-        for i, x in enumerate(lam_order):
-            bound = n  # the lowest reverse position seen above x so far
-            for j in range(i + 1, n):
-                y = lam_order[j]
-                if rho[x] < rho[y] < bound:
-                    upcov[x] |= 1 << y
-                    dncov[y] |= 1 << x
-                    bound = rho[y]
-                    if bound == rho[x] + 1:
-                        break
-        for name, value in (
-            ("lam_pos", lam), ("rho_pos", rho), ("n", n),
-            ("up", tuple(up)), ("lft", tuple(lft)),
-            ("dn", tuple(dn)), ("rgt", tuple(rgt)),
-            ("upcov", tuple(upcov)), ("dncov", tuple(dncov)),
-            ("bottom", lam_order[0]), ("top", lam_order[-1]),
-            ("lam_order", tuple(lam_order)), ("rho_order", tuple(rho_order)),
-        ):
-            object.__setattr__(self, name, value)
+        # object.__setattr__, unlike an update of __dict__, keeps the
+        # attributes in the compact form the interpreter reads fastest
+        store = object.__setattr__
+        store(self, "lam_pos", lam)
+        store(self, "rho_pos", rho)
+        store(self, "n", n)
+        store(self, "bottom", lam.index(0))
+        store(self, "top", lam.index(n - 1))
 
     # -- relation queries ------------------------------------------------
 
@@ -152,12 +194,50 @@ class Diagram:
     # -- derived views ---------------------------------------------------
 
     def cover_pairs(self):
-        return tuple(
-            (x, y) for x in range(self.n) for y in bits(self.upcov[x])
-        )
+        """The pairs (x, y) with y covering x, sorted.
+
+        y covers x when it follows x in both sweeps and nothing lies
+        between them in both.  Walking the left-to-right sweep from x, each
+        cover lowers the bound on the reverse position of the next one, and
+        once the bound is rho_pos[x] + 1 no later element can be a cover.
+        """
+        rho, n = self.rho_pos, self.n
+        order = sorted(range(n), key=self.lam_pos.__getitem__)
+        rank = [rho[x] for x in order]
+        out = []
+        for i in range(n):
+            low, bound = rank[i], n
+            for j in range(i + 1, n):
+                r = rank[j]
+                if low < r < bound:
+                    out.append((order[i], order[j]))
+                    bound = r
+                    if r == low + 1:
+                        break
+        out.sort()
+        return tuple(out)
 
     def left_pairs(self):
-        return tuple((x, y) for x in range(self.n) for y in bits(self.lft[x]))
+        """The pairs (x, y) with x left of y, sorted.
+
+        x is left of y when it comes first in the left-to-right sweep and
+        last in the right-to-left one.  The walk along the first sweep
+        keeps the reverse positions passed so far in order, so each y
+        takes its pairs by bisection, in time proportional to their number.
+        """
+        lam, rho, n = self.lam_pos, self.rho_pos, self.n
+        at = [0] * n  # at[r]: the element at reverse position r
+        for x in range(n):
+            at[rho[x]] = x
+        passed, out = [], []
+        for y in sorted(range(n), key=lam.__getitem__):
+            r = rho[y]
+            i = bisect(passed, r)
+            for s in passed[i:]:
+                out.append((at[s], y))
+            passed.insert(i, r)
+        out.sort()
+        return tuple(out)
 
     def incomparable_pairs(self):
         return tuple(
@@ -181,11 +261,14 @@ class Realizer:
     rho_order: tuple[int, ...]
 
 
-def _listed(elements, shown=8):
-    """A list for an error message, cut to its first few members."""
-    if len(elements) <= shown:
-        return f"{elements}"
-    return f"{elements[:shown]} and {len(elements) - shown} more"
+def _listed(elements, total=None, shown=8):
+    """A list for an error message, cut to its first few members.
+
+    ``elements`` may be an iterator when ``total`` gives its length.
+    """
+    total = len(elements) if total is None else total
+    head = list(islice(elements, shown))
+    return f"{head}" if total <= shown else f"{head} and {total - shown} more"
 
 
 def _shown(v):
@@ -194,18 +277,16 @@ def _shown(v):
     return f"an integer of {v.bit_length()} bits" if huge else repr(v)
 
 
-def _order(n, cover_list):
-    """Strict pairs -> reflexive up-set masks of a bounded partial order.
+def _kahn(n, cover_list):
+    """Kahn's algorithm over the pairs of elements 0..n-1.
 
-    Rejects a self-loop, a cycle (Kahn's algorithm over adjacency lists),
-    then more than one minimal or maximal element (in- or out-degree 0),
-    all before any mask is built, so unbounded input costs O(n + pairs).
+    Returns the successor lists, the minimal elements (in-degree 0), a
+    topological order of the elements it could place, and those left over,
+    which lie on or above a cycle.
     """
     succ = [[] for _ in range(n)]
     indeg = [0] * n
-    for i, (a, b) in enumerate(cover_list):
-        if a == b:
-            raise NotAPartialOrder(f"self-loop at element {a}", f"/covers/{i}")
+    for a, b in cover_list:
         succ[a].append(b)
         indeg[b] += 1
     bottoms = [x for x in range(n) if not indeg[x]]
@@ -215,11 +296,40 @@ def _order(n, cover_list):
             indeg[y] -= 1
             if not indeg[y]:
                 topo.append(y)
-    if len(topo) != n:
-        cyclic = [x for x in range(n) if indeg[x]]
+    cyclic = [x for x in range(n) if indeg[x]] if len(topo) != n else []
+    return succ, bottoms, topo, cyclic
+
+
+def _order(n, cover_list):
+    """Strict pairs -> reflexive up-set masks of a bounded partial order.
+
+    Rejects a self-loop, a cycle, then more than one minimal or maximal
+    element, all before any mask is built, so unbounded input costs
+    O(n + pairs), and input with fewer pairs than n - 1 costs O(pairs).
+    """
+    for i, (a, b) in enumerate(cover_list):
+        if a == b:
+            raise NotAPartialOrder(f"self-loop at element {a}", f"/covers/{i}")
+    # Every element but the bottom is the upper end of some pair, so fewer
+    # than n - 1 pairs leave several minimal elements: then look for a cycle
+    # among the elements the pairs touch, and list no n elements.
+    few = len(cover_list) < n - 1
+    if few:
+        touched = sorted({x for pair in cover_list for x in pair})
+        index = {x: i for i, x in enumerate(touched)}
+        *_, cyclic = _kahn(len(touched), [(index[a], index[b]) for a, b in cover_list])
+        cyclic = [touched[i] for i in cyclic]
+    else:
+        succ, bottoms, topo, cyclic = _kahn(n, cover_list)
+    if cyclic:
         raise NotAPartialOrder(
             f"cover relation has a cycle through {_listed(cyclic)}", "/covers"
         )
+    if few:
+        uppers = {b for _, b in cover_list}
+        bottoms = (x for x in range(n) if x not in uppers)
+        shown = _listed(bottoms, n - len(uppers))
+        raise NotBounded(f"minimal elements {shown}, expected exactly one")
     if len(bottoms) != 1:
         raise NotBounded(f"minimal elements {_listed(bottoms)}, expected exactly one")
     tops = [x for x in range(n) if not succ[x]]

@@ -65,7 +65,13 @@ def parse_document(text):
         raise MalformedDocument("document must be a JSON object")
     for key in data:
         if key not in _KEYS:
-            raise MalformedDocument(f"unknown key {key!r}", f"/{key}")
+            if len(key) <= 40:
+                raise MalformedDocument(f"unknown key {key!r}", f"/{key}")
+            # a key comes from outside: a long one is named by its start
+            raise MalformedDocument(
+                f"unknown key {key[:40]!r}... ({len(key)} characters)",
+                f"/{key[:40]}...",
+            )
     if "n" not in data:
         raise MalformedDocument("missing key 'n'", "/n")
     n = data["n"]
@@ -104,12 +110,7 @@ def parse(text):
 
 def document_of(d, name=None):
     """The canonical document for a diagram: sorted covers, sorted left."""
-    return DiagramDocument(
-        d.n,
-        tuple(sorted(d.cover_pairs())),
-        tuple(sorted(d.left_pairs())),
-        name,
-    )
+    return DiagramDocument(d.n, d.cover_pairs(), d.left_pairs(), name)
 
 
 def serialize(doc, pretty=False):
@@ -122,8 +123,9 @@ def serialize(doc, pretty=False):
         doc = document_of(doc)
     data = {
         "n": doc.n,
-        "covers": [list(p) for p in sorted(doc.covers)],
-        "left": [list(p) for p in sorted(doc.left)],
+        # json writes a tuple as an array
+        "covers": sorted(doc.covers),
+        "left": sorted(doc.left),
     }
     if doc.name is not None:
         data["name"] = doc.name

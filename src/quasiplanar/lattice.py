@@ -159,10 +159,11 @@ def is_lattice(d):
 
 def _semimodular(d, t):
     # a∧b covered by a forces b covered by a∨b
+    upcov = d.upcov
     for a in range(d.n):
         for b in range(d.n):
             m = t.meet[a][b]
-            if d.upcov[m] & (1 << a) and not d.upcov[b] & (1 << t.join[a][b]):
+            if upcov[m] & (1 << a) and not upcov[b] & (1 << t.join[a][b]):
                 return False
     return True
 

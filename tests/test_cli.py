@@ -1,5 +1,6 @@
 """End-to-end command line tests plus in-process exit code checks."""
 
+import hashlib
 import io
 import json
 
@@ -112,6 +113,16 @@ def test_enumerate_streams_documents(cli):
     code, out, err = cli("enumerate", "--size", "4")
     assert code == 0
     assert out.splitlines() == ENUM4_LINES
+
+
+def test_enumerate_output_is_pinned_at_size_8(cli):
+    # the bytes the eager-mask Diagram wrote; deriving fields lazily and
+    # reading pairs from positions must not change them
+    code, out, err = cli("enumerate", "--size", "8")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a6b6c268db8eeb59fc2906a2f7f4825d901b4948668c40bd8e17202c089c77a1"
+    )
 
 
 def test_enumerate_writes_one_file_per_diagram(cli, tmp_path):

@@ -300,6 +300,68 @@ def test_validate_refuses_a_huge_unbounded_order_in_small_memory():
     assert peak < 64 * 2**20
 
 
+def test_validate_refuses_a_huge_n_with_few_covers_in_bounded_memory():
+    # a child process under an address-space limit, so that a regression
+    # fails there instead of exhausting the host
+    script = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+import quasiplanar as qp
+for attempt in (
+    lambda: qp.validate(10**12, [(5, 5)]),
+    lambda: qp.validate(10**12, [(5, 6), (6, 5)]),
+    lambda: qp.validate(10**12, [(5, 6), (7, 6)]),
+    lambda: qp.parse('{"n":1000000000000,"covers":[]}'),
+):
+    try:
+        attempt()
+    except qp.DiagramError as e:
+        print(type(e).__name__, e, e.location)
+"""
+    proc = _run_python(script)
+    assert proc.stdout.splitlines() == [
+        "NotAPartialOrder self-loop at element 5 /covers/0",
+        "NotAPartialOrder cover relation has a cycle through [5, 6] /covers",
+        "NotBounded minimal elements [0, 1, 2, 3, 4, 5, 7, 8] and 999999999991 "
+        "more, expected exactly one None",
+        "NotBounded minimal elements [0, 1, 2, 3, 4, 5, 6, 7] and 999999999992 "
+        "more, expected exactly one None",
+    ], proc.stderr
+
+
+def test_count_builds_no_masks(monkeypatch):
+    built = []
+
+    def counted(build):
+        def wrapper(d):
+            built.append(build.__name__)
+            return build(d)
+        return wrapper
+
+    names = ("lam_order", "rho_order", "up", "dn", "lft", "rgt", "upcov", "dncov")
+    for name in names:
+        field = vars(qp.Diagram)[name]
+        monkeypatch.setattr(field, "build", counted(field.build))
+    assert qp.count_quasiplanar(8) == 720
+    assert built == []
+    # the first read of a field builds its whole group, once
+    d = qp.from_canonical((2, 1, 3))
+    for name in names:
+        getattr(d, name)
+    assert built == ["_order_masks", "_cover_masks"]
+
+
+def test_a_diagram_of_20000_elements_stores_no_masks():
+    tracemalloc.start()
+    try:
+        d = qp.Diagram(range(20000), range(20000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d.cover_pairs()[-1] == (19998, 19999)
+    assert peak < 8 * 2**20
+
+
 def test_cli_refuses_a_huge_unbounded_document_in_one_line(cli):
     code, out, err = cli("validate", "-", stdin='{"n":200000,"covers":[]}')
     assert (code, out) == (1, "")
@@ -313,6 +375,9 @@ def test_cli_refuses_a_huge_unbounded_document_in_one_line(cli):
         '{"n":3,"covers":[[0,%s]]}' % ("9" * 4000),
         '{"n":3,"covers":[[0,%s]]}' % ("9" * 5000),
         "[" * 100000,
+        pytest.param(
+            '{"%s":1,"n":3,"covers":[]}' % ("k" * 100000), id="long-unknown-key"
+        ),
     ],
 )
 def test_cli_rejects_hostile_documents_in_one_line(cli, text):
@@ -328,27 +393,33 @@ def test_constructor_rejects_bad_positions_under_python_O():
 import quasiplanar as qp
 assert False, "asserts are live"
 cases = [
-    (((0, 0, 2), (0, 1, 2)), qp.NotLinearizable),
-    (((0, 1, 2), (0, 1, 3)), qp.NotLinearizable),
-    (((0, 1), (0, 1, 2)), qp.NotLinearizable),
-    (((0, 1, 2), (1, 0, 2)), qp.NotBounded),
-    (((0, 1, 2), (0, 2, 1)), qp.NotBounded),
-    (((), ()), qp.NotBounded),
-    ((3, (7, 6, 4), (2, 0, 0)), TypeError),
+    (qp.Diagram, ((0, 0, 2), (0, 1, 2)), qp.NotLinearizable),
+    (qp.Diagram, ((0, 1, 2), (0, 1, 3)), qp.NotLinearizable),
+    (qp.Diagram, ((0, 1), (0, 1, 2)), qp.NotLinearizable),
+    (qp.Diagram, ((0, 1, 2), (1, 0, 2)), qp.NotBounded),
+    (qp.Diagram, ((0, 1, 2), (0, 2, 1)), qp.NotBounded),
+    (qp.Diagram, ((), ()), qp.NotBounded),
+    (qp.Diagram, (3, (7, 6, 4), (2, 0, 0)), TypeError),
+    (qp.from_canonical, ((2, 2, 1),), ValueError),
 ]
-for args, error in cases:
+for build, args, error in cases:
     try:
-        qp.Diagram(*args)
+        build(*args)
     except error:
         continue
-    raise SystemExit(f"Diagram{args} was not refused with {error.__name__}")
+    raise SystemExit(f"{build.__name__}{args} was not refused with {error.__name__}")
 print("refused", len(cases))
 """
+    proc = _run_python(script, "-O")
+    assert (proc.returncode, proc.stdout) == (0, "refused 8\n"), proc.stderr
+
+
+def _run_python(script, *options):
+    """Run a script in a child interpreter that imports this checkout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script],
+    return subprocess.run(
+        [sys.executable, *options, "-c", script],
         capture_output=True, text=True, env=env, timeout=60,
     )
-    assert (proc.returncode, proc.stdout) == (0, "refused 7\n"), proc.stderr

@@ -2,12 +2,14 @@
 
 A diagram is built from its two sweep positions; every construction that
 used to assemble order and left masks by hand now computes positions
-instead.  The mask-building versions live on here as oracles, next to a
-subset scan for the filter family, the intersection of the filters as
-the closure, a minimal-bounds search for the lattice tables, the triple
-scan for slimness, meet representations over every meet-irreducible, the
-all-pairs ``validate`` that read the order twice, and the backtracking
-solver that oriented a bare order before implication classes did.
+instead, and a diagram derives its own masks and covers on first read.
+The mask-building versions live on here as oracles, next to the eager
+derivation of every field of a diagram, a subset scan for the filter
+family, the intersection of the filters as the closure, a minimal-bounds
+search for the lattice tables, the triple scan for slimness, meet
+representations over every meet-irreducible, the all-pairs ``validate``
+that read the order twice, and the backtracking solver that oriented a
+bare order before implication classes did.
 """
 
 import json
@@ -115,6 +117,95 @@ def test_positions_are_the_identity():
     assert qp.Diagram(list(d.lam_pos), iter(d.rho_pos)) == d
     assert hash(qp.Diagram(d.lam_pos, d.rho_pos)) == hash(d)
     assert qp.Diagram(d.lam_pos, d.rho_pos) != qp.mirror(d)
+
+
+# -- the lazily derived fields against the eager derivation ----------------
+
+
+def _derived_by_definition(lam, rho):
+    """Every derived field of ``Diagram(lam, rho)``, computed at once.
+
+    This is the derivation the constructor ran eagerly before the fields
+    were derived on first read: prefix masks of both sweeps, the masks from
+    them, and the cover scan; the pair lists are read off the masks.
+    """
+    n = len(lam)
+    lam_order, rho_order = [0] * n, [0] * n
+    for x in range(n):
+        lam_order[lam[x]] = x
+        rho_order[rho[x]] = x
+    before_l, before_r = [0] * n, [0] * n
+    for order, before in ((lam_order, before_l), (rho_order, before_r)):
+        seen = 0
+        for x in order:
+            before[x] = seen
+            seen |= 1 << x
+    full = (1 << n) - 1
+    up, dn, lft, rgt = [], [], [], []
+    for x in range(n):
+        bl, br, bit = before_l[x], before_r[x], 1 << x
+        al, ar = full ^ bl ^ bit, full ^ br ^ bit
+        up.append(al & ar | bit)
+        dn.append(bl & br | bit)
+        lft.append(al & br)
+        rgt.append(bl & ar)
+    upcov, dncov = [0] * n, [0] * n
+    for i, x in enumerate(lam_order):
+        bound = n
+        for j in range(i + 1, n):
+            y = lam_order[j]
+            if rho[x] < rho[y] < bound:
+                upcov[x] |= 1 << y
+                dncov[y] |= 1 << x
+                bound = rho[y]
+                if bound == rho[x] + 1:
+                    break
+    return {
+        "up": tuple(up), "dn": tuple(dn), "lft": tuple(lft), "rgt": tuple(rgt),
+        "upcov": tuple(upcov), "dncov": tuple(dncov),
+        "lam_order": tuple(lam_order), "rho_order": tuple(rho_order),
+        "bottom": lam_order[0], "top": lam_order[-1],
+        "cover_pairs": [(x, y) for x in range(n) for y in bits(upcov[x])],
+        "left_pairs": [(x, y) for x in range(n) for y in bits(lft[x])],
+    }
+
+
+def _assert_derived_by_definition(d):
+    want = _derived_by_definition(d.lam_pos, d.rho_pos)
+    names = [f for f in want if not f.endswith("_pairs")]
+    # each field read first on a fresh diagram, then the rest in both orders,
+    # so no group depends on another having been derived before it
+    for first in names:
+        fresh = Diagram(d.lam_pos, d.rho_pos)
+        for f in (first, *names, *reversed(names)):
+            assert getattr(fresh, f) == want[f], f
+    fresh = Diagram(d.lam_pos, d.rho_pos)
+    for f in ("cover_pairs", "left_pairs"):
+        assert sorted(getattr(fresh, f)()) == want[f], f
+        assert sorted(getattr(d, f)()) == want[f], f
+
+
+def test_derived_fields_match_the_eager_derivation():
+    checked = 0
+    for d in _relabelled(8):
+        _assert_derived_by_definition(d)
+        _assert_derived_by_definition(qp.mirror(d))
+        checked += 2
+    # (n - 2)! diagrams of each size 2..8, three labelings, with mirrors
+    assert checked == 2 * 3 * 874
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(9, 60).flatmap(
+    lambda n: st.tuples(
+        st.permutations(range(1, n - 1)), st.permutations(range(n))
+    )
+))
+def test_derived_fields_match_the_eager_derivation_on_samples(perms):
+    perm, names = perms
+    d = qp.from_canonical(perm)
+    for e in (d, qp.mirror(d), qp.relabel(d, names)):
+        _assert_derived_by_definition(e)
 
 
 # -- the mask-loop versions of the position-built constructions ------------
