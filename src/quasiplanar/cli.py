@@ -8,6 +8,7 @@ preconditions), 2 a verification that ran and failed, 3 usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -139,6 +140,7 @@ def _cmd_render(args):
     return 0
 
 
+@functools.cache
 def _build_parser():
     parser = _Parser(
         prog="quasiplanar",

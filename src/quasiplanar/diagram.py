@@ -455,9 +455,10 @@ def from_canonical(perm):
     """Decode a permutation of {1..len(perm)} into the diagram it names."""
     perm = tuple(perm)
     n = len(perm) + 2
-    if sorted(perm) != list(range(1, n - 1)):
-        raise ValueError(f"{perm!r} is not a permutation of 1..{n - 2}")
-    return Diagram(range(n), (0, *perm, n - 1))
+    try:
+        return Diagram(range(n), (0, *perm, n - 1))
+    except (NotLinearizable, TypeError):  # or values that do not sort
+        raise ValueError(f"{perm!r} is not a permutation of 1..{n - 2}") from None
 
 
 def similar(d1, d2):
@@ -519,15 +520,13 @@ def boundary_chains(d):
     from .lattice import lattice_tables  # lattice builds on this module
 
     lattice_tables(d)
-    left_chain = [d.bottom]
-    while left_chain[-1] != d.top:
-        covs = list(bits(d.upcov[left_chain[-1]]))
-        left_chain.append(min(covs, key=lambda c: d.lam_pos[c]))
-    right_chain = [d.bottom]
-    while right_chain[-1] != d.top:
-        covs = list(bits(d.upcov[right_chain[-1]]))
-        right_chain.append(max(covs, key=lambda c: d.lam_pos[c]))
-    return tuple(left_chain), tuple(right_chain)
+    chains = []
+    for pick in (min, max):  # the leftmost, then the rightmost cover
+        chain = [d.bottom]
+        while chain[-1] != d.top:
+            chain.append(pick(bits(d.upcov[chain[-1]]), key=d.lam_pos.__getitem__))
+        chains.append(tuple(chain))
+    return tuple(chains)
 
 
 def maximal_chains(d):

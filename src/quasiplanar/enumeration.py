@@ -330,6 +330,10 @@ class _Ctx:
         return require_slim_semimodular(self.beta2)
 
     @cached_property
+    def alpha2(self):
+        return to_quasiplanar(self.beta2)
+
+    @cached_property
     def maps(self):
         return pair_filter_maps(self.q)
 
@@ -503,13 +507,13 @@ def _check_rebuild_from_pairs(c):
 
 def _check_rebuild_from_filters(c):
     _require(
-        similar(to_quasiplanar(c.beta2), c.q),
+        similar(c.alpha2, c.q),
         "rebuilding from the filter lattice lost the diagram",
     )
 
 
 def _check_double_round_trip(c):
-    again = lattice_from_filters(to_quasiplanar(c.beta2))
+    again = lattice_from_filters(c.alpha2)
     _require(similar(again, c.beta2), "filter lattice drifts under a round trip")
 
 

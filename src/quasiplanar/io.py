@@ -65,12 +65,12 @@ def parse_document(text):
         raise MalformedDocument("document must be a JSON object")
     for key in data:
         if key not in _KEYS:
-            if len(key) <= 40:
-                raise MalformedDocument(f"unknown key {key!r}", f"/{key}")
-            # a key comes from outside: a long one is named by its start
+            # a key comes from outside: a long one is named by its start,
+            # and the location escapes it as repr does, to keep one line
+            shown, cut = repr(key[:40]), "..." if len(key) > 40 else ""
+            more = f" ({len(key)} characters)" if cut else ""
             raise MalformedDocument(
-                f"unknown key {key[:40]!r}... ({len(key)} characters)",
-                f"/{key[:40]}...",
+                f"unknown key {shown}{cut}{more}", f"/{shown[1:-1]}{cut}"
             )
     if "n" not in data:
         raise MalformedDocument("missing key 'n'", "/n")

@@ -143,9 +143,11 @@ def _compute_tables(d):
         for y in bits(d.upcov[x]):
             j = join[j][y]
         upstar.append(j)
+    for table in (join, meet):  # row by row: no table is ever held twice
+        for x in range(n):
+            table[x] = tuple(table[x])
     return LatticeTables(
-        n, tuple(map(tuple, join)), tuple(map(tuple, meet)),
-        jir, mir, nar, tuple(upstar),
+        n, tuple(join), tuple(meet), jir, mir, nar, tuple(upstar),
     )
 
 
@@ -158,12 +160,13 @@ def is_lattice(d):
 
 
 def _semimodular(d, t):
-    # a∧b covered by a forces b covered by a∨b
+    """Birkhoff's condition: any two upper covers a, b of one element are
+    covered by a∨b.  In a finite lattice that is equivalent to a∧b ≺ a
+    forcing b ≺ a∨b, and it reads pairs of covers instead of all m² pairs."""
     upcov = d.upcov
-    for a in range(d.n):
-        for b in range(d.n):
-            m = t.meet[a][b]
-            if upcov[m] & (1 << a) and not upcov[b] & (1 << t.join[a][b]):
+    for c in range(d.n):
+        for a, b in combinations(bits(upcov[c]), 2):
+            if not upcov[a] & upcov[b] & (1 << t.join[a][b]):
                 return False
     return True
 
@@ -245,28 +248,19 @@ def supports(d):
     compose every element".
     """
     t = require_slim_semimodular(d)
-    left_chain, right_chain = boundary_chains(d)
     # chains run bottom to top, so the last member below x is the support
-    lsp = []
-    rsp = []
+    lsp, rsp = (
+        tuple([c for c in chain if d.leq(c, x)][-1] for x in range(d.n))
+        for chain in boundary_chains(d)
+    )
+    mir_mask = sum(1 << m for m in t.mir)
+    lds, rds = [], []
     for x in range(d.n):
-        lsp.append([c for c in left_chain if d.leq(c, x)][-1])
-        rsp.append([c for c in right_chain if d.leq(c, x)][-1])
-    mir_mask = 0
-    for m in t.mir:
-        mir_mask |= 1 << m
-    lds = []
-    rds = []
-    for x in range(d.n):
-        if x == d.top:
-            lds.append(x)
-            rds.append(x)
-            continue
-        above = d.up[x] & mir_mask
-        mins = [z for z in bits(above) if not (d.dn[z] & ~(1 << z) & above)]
+        # the top is its own dual support
+        mins = [x] if x == d.top else _minimal_in(d, d.up[x] & mir_mask)
         lds.append(min(mins, key=d.lam_pos.__getitem__))
         rds.append(max(mins, key=d.lam_pos.__getitem__))
-    return SupportData(tuple(lsp), tuple(rsp), tuple(lds), tuple(rds))
+    return SupportData(lsp, rsp, tuple(lds), tuple(rds))
 
 
 def irredundant_meet_representations(d, t, x):

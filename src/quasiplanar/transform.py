@@ -23,9 +23,10 @@ laws they obey are checked by :func:`~quasiplanar.enumeration.verify_suite`.
 from __future__ import annotations
 
 import operator
+from bisect import bisect
 from dataclasses import dataclass
 
-from .diagram import _dominance_diagram, _maximal_in, _minimal_in, _shown, bits
+from .diagram import _dominance_diagram, _maximal_in, _minimal_in, _shown, bits, similar
 from .errors import InvalidGroundElement
 from .lattice import require_slim_semimodular
 
@@ -65,11 +66,8 @@ def weak_left_pairs(d):
     :func:`lattice_from_pairs`.
     """
     _check_distinct_ends(d)
-    ground = _ground_mask(d)
-    pairs = [(x, x) for x in bits(ground)]
-    pairs += [
-        (x, y) for x in bits(ground) for y in bits(d.lft[x] & ground)
-    ]
+    pairs = [(x, x) for x in range(d.n) if x != d.bottom]
+    pairs += d.left_pairs()  # the bottom is below everything, left of nothing
     pairs.sort(key=lambda p: (d.lam_pos[p[0]], d.rho_pos[p[1]]))
     return tuple(pairs)
 
@@ -267,12 +265,31 @@ def to_quasiplanar(d):
     labeled 0, and restricts the order and left relation; the input must be
     a slim semimodular lattice diagram.  Labels 1.. follow the original
     label order of the kept elements.
+
+    The result certifies ``d`` without lattice tables: every pair lattice
+    is slim semimodular, so ``d`` is one if the result's pair lattice is
+    similar to it (sound), and by the paper's bijection every slim
+    semimodular ``d`` is (complete).  That pair lattice, one element per
+    element above the bottom and per left pair, is built only if the walk
+    of ``Diagram.left_pairs``, cut off past ``d.n``, counts ``d.n`` of them.
+    Rejected input goes to ``require_slim_semimodular`` for its message.
     """
-    t = require_slim_semimodular(d)
-    keep = sorted(t.mir | {d.top})
+    keep = [x for x in range(d.n) if x == d.top or d.upcov[x].bit_count() == 1]
     # the fresh bottom's key sorts first in both sweeps
     keys = [(-1, -1)] + [(d.lam_pos[x], d.rho_pos[x]) for x in keep]
-    return _dominance_diagram(keys)
+    alpha = _dominance_diagram(keys)
+    # the walk of Diagram.left_pairs, counting the pairs instead of listing
+    # them; a generator shared with it would slow left_pairs on serialize
+    size, passed = alpha.n - 1, []
+    for y in sorted(range(alpha.n), key=alpha.lam_pos.__getitem__):
+        i = bisect(passed, alpha.rho_pos[y])
+        size += len(passed) - i
+        if size > d.n:
+            break
+        passed.insert(i, alpha.rho_pos[y])
+    if size != d.n or not similar(lattice_from_pairs(alpha), d):
+        require_slim_semimodular(d)
+    return alpha
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ import json
 import pytest
 
 import quasiplanar as qp
-from quasiplanar import cli, lattice
+from quasiplanar import cli, lattice, transform
 
 Q5_TEXT = '{"n":5,"covers":[[0,1],[0,2],[1,3],[2,3],[3,4]],"left":[[1,2]]}'
 ENUM4_LINES = [
@@ -203,17 +203,47 @@ def test_roundtrip_mismatch_exits_two(monkeypatch, capsys, q5_file):
 
 
 def test_roundtrip_checks_a_lattice_once(monkeypatch, capsys):
-    runs = []
-    semimodular = lattice._semimodular
-    monkeypatch.setattr(
-        lattice, "_semimodular", lambda d, t: runs.append(d) or semimodular(d, t)
-    )
+    # α certifies the lattice with one pair lattice and builds no tables
+    calls = []
+    for module, name in ((lattice, "_compute_tables"), (transform, "lattice_from_pairs")):
+        real = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda *a, name=name, real=real: calls.append(name) or real(*a)
+        )
     monkeypatch.setattr("sys.stdin", io.StringIO(Q5_TEXT))
     code = cli.main(["roundtrip", "-"])
     assert (code, capsys.readouterr().out) == (
         0, '{"mode":"lattice","similar":true}\n'
     )
-    assert len(runs) == 1
+    assert calls == ["lattice_from_pairs"]
+
+
+def test_one_parser_serves_every_call_in_a_process(monkeypatch, capsys, q5_file):
+    calls = [
+        ["canon", q5_file],
+        ["count", "--size", "0"],
+        ["beta", "--variant", "3", q5_file],
+        ["alpha", q5_file],
+        ["validate", q5_file],
+    ]
+
+    def run(argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as e:
+            code = e.code
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    cli._build_parser.cache_clear()
+    shared = [run(argv) for argv in calls]
+    assert cli._build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 1, 3, 0, 0]
 
 
 def test_failed_verification_exits_two(monkeypatch, capsys):

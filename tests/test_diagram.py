@@ -153,9 +153,12 @@ def test_from_canonical_decodes_fixtures():
 
 
 def test_from_canonical_rejects_non_permutations():
-    for bad in ((0, 1), (1, 1), (2, 3), (2,)):
-        with pytest.raises(ValueError):
+    for bad in ((0, 1), (1, 1), (2, 3), (2,), ("a", "b"), (1, None)):
+        # the constructor's check, whatever it raises, becomes this ValueError
+        with pytest.raises(ValueError) as exc:
             qp.from_canonical(bad)
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == f"{bad!r} is not a permutation of 1..{len(bad)}"
 
 
 def test_similar_is_label_independent():
@@ -378,6 +381,12 @@ def test_cli_refuses_a_huge_unbounded_document_in_one_line(cli):
         pytest.param(
             '{"%s":1,"n":3,"covers":[]}' % ("k" * 100000), id="long-unknown-key"
         ),
+        pytest.param('{"a\\nb":1,"n":1,"covers":[]}', id="key-with-newline"),
+        pytest.param('{"a\\rb":1,"n":1,"covers":[]}', id="key-with-return"),
+        pytest.param('{"a\\tb":1,"n":1,"covers":[]}', id="key-with-tab"),
+        pytest.param(
+            '{"\\n%s":1,"n":3,"covers":[]}' % ("k" * 100), id="long-key-with-newline"
+        ),
     ],
 )
 def test_cli_rejects_hostile_documents_in_one_line(cli, text):
@@ -385,6 +394,7 @@ def test_cli_rejects_hostile_documents_in_one_line(cli, text):
     assert (code, out) == (1, "")
     assert len(err.splitlines()) == 1 and len(err) < 200
     assert err.startswith("MalformedDocument: ")
+    assert err[:-1].isprintable()
 
 
 def test_constructor_rejects_bad_positions_under_python_O():

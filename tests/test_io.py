@@ -55,6 +55,7 @@ def test_unordered_input_is_reserialized_canonically():
         ("{", "", "not valid JSON"),
         ("[1, 2]", "", "must be a JSON object"),
         ('{"n":3,"covers":[],"foo":1}', "/foo", "unknown key"),
+        ('{"n":3,"covers":[],"a\\nb\\t":1}', "/a\\nb\\t", "unknown key 'a\\nb\\t'"),
         ('{"covers":[]}', "/n", "missing key 'n'"),
         ('{"n":true,"covers":[]}', "/n", "must be an integer"),
         ('{"n":"3","covers":[]}', "/n", "must be an integer"),

@@ -6,10 +6,11 @@ instead, and a diagram derives its own masks and covers on first read.
 The mask-building versions live on here as oracles, next to the eager
 derivation of every field of a diagram, a subset scan for the filter
 family, the intersection of the filters as the closure, a minimal-bounds
-search for the lattice tables, the triple scan for slimness, meet
-representations over every meet-irreducible, the all-pairs ``validate``
-that read the order twice, and the backtracking solver that oriented a
-bare order before implication classes did.
+search for the lattice tables, the triple scan for slimness, the m² loop
+for semimodularity and the table verdict for the certificate of
+``to_quasiplanar``, meet representations over every meet-irreducible, the
+all-pairs ``validate`` that read the order twice, and the backtracking
+solver that oriented a bare order before implication classes did.
 """
 
 import json
@@ -20,8 +21,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import quasiplanar as qp
+from quasiplanar import lattice, transform
 from quasiplanar.diagram import (
-    Diagram, _check_pairs, _listed, _order, bits, validate,
+    Diagram, _check_pairs, _dominance_diagram, _listed, _order, bits, validate,
 )
 from quasiplanar.enumeration import _labeled_posets
 from quasiplanar.transform import _ground_mask
@@ -533,6 +535,115 @@ def test_is_slim_matches_the_triple_scan():
                     checked += 1
                     fat += not want
     assert checked > 2000 and fat > 500
+
+
+# -- α's certificate and Birkhoff's condition against the m² tables ---------
+
+
+def _semimodular_by_all_pairs(d, t):
+    """The m² definition: a∧b covered by a forces b covered by a∨b."""
+    upcov = d.upcov
+    for a in range(d.n):
+        for b in range(d.n):
+            m = t.meet[a][b]
+            if upcov[m] & (1 << a) and not upcov[b] & (1 << t.join[a][b]):
+                return False
+    return True
+
+
+def _rejection_by_tables(d):
+    """require_slim_semimodular's message for ``d`` by the m² definition,
+    or None when ``d`` is a slim semimodular lattice diagram."""
+    try:
+        t = qp.lattice_tables(d)
+    except qp.NotALattice as e:
+        return f"not a lattice: {e}"
+    if not _semimodular_by_all_pairs(d, t):
+        return "lattice is not semimodular"
+    if not qp.is_slim(d):
+        return "join-irreducibles contain a 3-element antichain"
+    return None
+
+
+def _through_size_9():
+    """Every diagram of size 2..9, its mirror and its pair lattice."""
+    for size in range(2, 10):
+        for q in qp.enumerate_quasiplanar(size):
+            yield q
+            yield qp.mirror(q)
+            yield qp.lattice_from_pairs(q)
+
+
+def _two_chains(length):
+    """A bottom and a top joined by two chains of ``length`` elements each."""
+    left = [(1 + i, 1 + length + i) for i in range(length)]
+    right = [(1 + length + i, 1 + i) for i in range(length)]
+    end = 2 * length + 1
+    return _dominance_diagram([(0, 0)] + left + right + [(end, end)])
+
+
+def _counting(monkeypatch, module, name, calls):
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a: calls.append(name) or real(*a))
+
+
+def test_certificate_verdict_matches_the_tables_through_size_9(monkeypatch):
+    fallbacks = []
+    _counting(monkeypatch, transform, "require_slim_semimodular", fallbacks)
+    verdicts = {}
+    for d in _through_size_9():
+        # the oracle's tables go on a copy, so d reaches α without them
+        copy = Diagram(d.lam_pos, d.rho_pos)
+        want = _rejection_by_tables(copy)
+        fallbacks.clear()
+        if want is None:
+            alpha = qp.to_quasiplanar(d)
+            # accepted by the certificate: no table path was taken
+            assert fallbacks == [] and d._tables is None
+            assert _masks(alpha) == _to_quasiplanar_by_masks(copy)
+            want = "accepted"
+        else:
+            with pytest.raises(qp.NotSlimSemimodular) as exc:
+                qp.to_quasiplanar(d)
+            assert fallbacks == ["require_slim_semimodular"]
+            assert str(exc.value) == want
+        kind = want.split(":")[0]
+        verdicts[kind] = verdicts.get(kind, 0) + 1
+    assert verdicts == {
+        "accepted": 6086,
+        "not a lattice": 4578,
+        "lattice is not semimodular": 6832,
+        "join-irreducibles contain a 3-element antichain": 246,
+    }
+
+
+def test_birkhoff_condition_matches_the_all_pairs_definition():
+    # M3 is modular; the pentagon and the six-element cycle are not
+    # semimodular; the catalog's hexagon is no lattice at all
+    extras = (qp.pentagon(), qp.three_atom_diamond(), _two_chains(2), qp.hexagon())
+    checked = semimodular = 0
+    for d in (*_through_size_9(), *extras):
+        if qp.is_lattice(d):
+            t = qp.lattice_tables(d)
+            want = _semimodular_by_all_pairs(d, t)
+            assert lattice._semimodular(d, t) == want
+            checked += 1
+            semimodular += want
+    # 13 161 lattices of size 3-9, three of size 2, three extras; among
+    # them the slim semimodular ones, 246 fat semimodular ones and M3
+    assert (checked, semimodular) == (13161 + 3 + 3, 6086 + 246 + 1)
+    assert [qp.is_semimodular(d) for d in extras[:3]] == [False, True, False]
+
+
+def test_certificate_refuses_two_long_chains_without_their_pair_lattice(monkeypatch):
+    d = _two_chains(300)
+    built = []
+    _counting(monkeypatch, transform, "lattice_from_pairs", built)
+    with pytest.raises(qp.NotSlimSemimodular) as exc:
+        qp.to_quasiplanar(d)
+    assert built == []
+    assert str(exc.value) == _rejection_by_tables(_two_chains(300))
+    assert str(exc.value) == "lattice is not semimodular"
 
 
 # -- meet representations against the scan of every meet-irreducible -------
