@@ -508,27 +508,6 @@ def _dominance_diagram(keys):
     return Diagram(lam, rho)
 
 
-def boundary_chains(d):
-    """The leftmost and rightmost maximal chains of a lattice diagram.
-
-    Walk up from the bottom, always taking the leftmost (resp. rightmost)
-    upper cover.  The left chain C satisfies: every element off C that is
-    incomparable to some member of C lies to its right; dually for the
-    right chain.  Raises NotALattice, with the witness of
-    :func:`~quasiplanar.lattice.lattice_tables`, when ``d`` is no lattice.
-    """
-    from .lattice import lattice_tables  # lattice builds on this module
-
-    lattice_tables(d)
-    chains = []
-    for pick in (min, max):  # the leftmost, then the rightmost cover
-        chain = [d.bottom]
-        while chain[-1] != d.top:
-            chain.append(pick(bits(d.upcov[chain[-1]]), key=d.lam_pos.__getitem__))
-        chains.append(tuple(chain))
-    return tuple(chains)
-
-
 def maximal_chains(d):
     """All maximal chains, bottom to top, as tuples of elements."""
     chains = []

@@ -20,8 +20,8 @@ from math import factorial
 from .diagram import (
     Diagram,
     _dominance_diagram,
+    _shown,
     bits,
-    boundary_chains,
     canonical_form,
     chain_side,
     from_canonical,
@@ -32,6 +32,7 @@ from .diagram import (
 )
 from .errors import LawViolation, SizeTooLarge
 from .lattice import (
+    boundary_chains,
     irredundant_meet_representations,
     is_join_distributive,
     lattice_isomorphic,
@@ -50,14 +51,17 @@ from .transform import (
     min_between,
     pair_filter_maps,
     to_quasiplanar,
-    weak_left_pairs,
 )
+
+
+def _check_size(size):
+    if not isinstance(size, int) or size < 2:
+        raise ValueError(f"size must be an integer >= 2, got {_shown(size)}")
 
 
 def expected_count(size):
     """How many similarity classes a size must have: (size - 2) factorial."""
-    if not isinstance(size, int) or size < 2:
-        raise ValueError(f"size must be an integer >= 2, got {size!r}")
+    _check_size(size)
     return factorial(size - 2)
 
 
@@ -68,8 +72,7 @@ def enumerate_quasiplanar(size):
     permutations, and each yielded diagram is already canonically labeled:
     element k sits at sweep position k.
     """
-    if not isinstance(size, int) or size < 2:
-        raise ValueError(f"size must be an integer >= 2, got {size!r}")
+    _check_size(size)
     for perm in permutations(range(1, size - 1)):
         yield from_canonical(perm)
 
@@ -196,8 +199,7 @@ def oracle_enumerate(size):
     :func:`similar_by_search`.  Exists to cross-check the permutation
     decoder, so it shares none of its machinery.
     """
-    if not isinstance(size, int) or size < 2:
-        raise ValueError(f"size must be an integer >= 2, got {size!r}")
+    _check_size(size)
     if size > 6:
         raise SizeTooLarge(f"oracle enumeration is limited to size 6, got {size}")
     n = size
@@ -305,9 +307,9 @@ class _Ctx:
     def fam(self):
         return enumerate_hco_filters(self.q)
 
-    @cached_property
+    @property
     def pairs(self):
-        return weak_left_pairs(self.q)
+        return self.beta1_labeled[1]
 
     @cached_property
     def beta1_labeled(self):

@@ -1,9 +1,8 @@
 """Lattice structure on top of diagrams.
 
 Operation tables, the structural predicates (semimodular, slim,
-join-distributive), boundary supports, isomorphism of the underlying
-lattices, and reconstruction of a diagram from an order plus two
-prescribed boundary chains.
+join-distributive), boundary chains and supports, and isomorphism of the
+underlying lattices.
 
 Throughout, a "lattice diagram" is a valid diagram whose order happens to
 be a lattice; the slim semimodular ones are exactly the diagrams produced
@@ -20,18 +19,10 @@ from .diagram import (
     _maximal_in,
     _minimal_in,
     bits,
-    boundary_chains,
     mirror,
-    order_dimension_le2,
     similar,
 )
-from .errors import (
-    ChainsDoNotCoverJir,
-    NotALattice,
-    NotAPartialOrder,
-    NotBounded,
-    NotSlimSemimodular,
-)
+from .errors import NotALattice, NotSlimSemimodular
 
 
 @dataclass(frozen=True)
@@ -71,6 +62,25 @@ def lattice_tables(d):
     if d._tables is None:
         object.__setattr__(d, "_tables", _compute_tables(d))
     return d._tables
+
+
+def boundary_chains(d):
+    """The leftmost and rightmost maximal chains of a lattice diagram.
+
+    Walk up from the bottom, always taking the leftmost (resp. rightmost)
+    upper cover.  The left chain C satisfies: every element off C that is
+    incomparable to some member of C lies to its right; dually for the
+    right chain.  Raises NotALattice, with the witness of
+    :func:`lattice_tables`, when ``d`` is no lattice.
+    """
+    lattice_tables(d)
+    chains = []
+    for pick in (min, max):  # the leftmost, then the rightmost cover
+        chain = [d.bottom]
+        while chain[-1] != d.top:
+            chain.append(pick(bits(d.upcov[chain[-1]]), key=d.lam_pos.__getitem__))
+        chains.append(tuple(chain))
+    return tuple(chains)
 
 
 def _sweep_masks(d):
@@ -240,17 +250,23 @@ class SupportData:
     rds: tuple[int, ...]
 
 
+def _heights(up, chain):
+    """How many members of ``chain`` lie at or below each element, by ``up``."""
+    return [sum(up[c] >> x & 1 for c in chain) for x in range(len(up))]
+
+
 def supports(d):
     """Compute the four support maps of a slim semimodular lattice diagram.
 
+    x's support on a boundary chain is the member at x's height on it, the
+    height :func:`~quasiplanar.transform.diagram_from_chains` draws from.
     That every element is the join of its supports and every non-top
     element the meet of its dual supports is part of the law "supports
     compose every element".
     """
     t = require_slim_semimodular(d)
-    # chains run bottom to top, so the last member below x is the support
     lsp, rsp = (
-        tuple([c for c in chain if d.leq(c, x)][-1] for x in range(d.n))
+        tuple(chain[h - 1] for h in _heights(d.up, chain))
         for chain in boundary_chains(d)
     )
     mir_mask = sum(1 << m for m in t.mir)
@@ -314,42 +330,3 @@ def lattice_isomorphic(d1, d2):
         if not (similar(block1, block2) or similar(block1, mirror(block2))):
             return False
     return True
-
-
-def diagram_from_chains(n, covers, left_chain, right_chain):
-    """Rebuild the unique diagram of a slim semimodular lattice with the
-    given boundary chains.
-
-    ``covers`` describe the bare order (no left relation).  The two chains
-    must be maximal chains that jointly contain every join-irreducible
-    element; the orientation is then forced: x is left of y exactly when
-    x's left support is strictly higher and its right support strictly
-    lower than y's, so the diagram is drawn from the support heights.
-    """
-    try:
-        oriented = order_dimension_le2(n, covers)
-    except (NotAPartialOrder, NotBounded) as e:
-        raise NotSlimSemimodular(f"not a lattice order: {e}") from e
-    if oriented is None:
-        raise NotSlimSemimodular("order dimension exceeds two")
-    t = require_slim_semimodular(oriented)
-    left_chain = tuple(left_chain)
-    right_chain = tuple(right_chain)
-    for chain in (left_chain, right_chain):
-        if not chain or chain[0] != oriented.bottom or chain[-1] != oriented.top:
-            raise ValueError("chains must run from the bottom to the top")
-        for a, b in zip(chain, chain[1:]):
-            if not oriented.upcov[a] & (1 << b):
-                raise ValueError(f"({a}, {b}) is not a covering step")
-    covered = set(left_chain) | set(right_chain)
-    missing = sorted(t.jir - covered)
-    if missing:
-        raise ChainsDoNotCoverJir(
-            f"join-irreducible elements {missing} lie on neither chain"
-        )
-    # a support's height on its chain is the number of members below x
-    return _dominance_diagram([
-        (sum(oriented.leq(c, x) for c in right_chain),
-         sum(oriented.leq(c, x) for c in left_chain))
-        for x in range(n)
-    ])

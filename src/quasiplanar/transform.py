@@ -8,8 +8,8 @@ slim semimodular lattice, and the same lattice appears a second way as the
 set of *weak left pairs* (x, y) with x equal to or left of y, ordered
 componentwise along the two sweeps.  Both constructions are built here,
 together with the reciprocal maps between pairs and filters, the inverse
-construction recovering Q from a slim semimodular lattice diagram, and the
-antimatroid of filter complements.
+construction recovering Q from a slim semimodular lattice diagram or from
+its order and boundary chains, and the antimatroid of filter complements.
 
 The filters are never searched for: each weak left pair (x, y) yields one,
 the up-closure of the elements weakly between x and y, and every filter
@@ -26,9 +26,25 @@ import operator
 from bisect import bisect
 from dataclasses import dataclass
 
-from .diagram import _dominance_diagram, _maximal_in, _minimal_in, _shown, bits, similar
-from .errors import InvalidGroundElement
-from .lattice import require_slim_semimodular
+from .diagram import (
+    _checked,
+    _dominance_diagram,
+    _maximal_in,
+    _minimal_in,
+    _order,
+    _shown,
+    bits,
+    order_dimension_le2,
+    similar,
+)
+from .errors import (
+    ChainsDoNotCoverJir,
+    InvalidGroundElement,
+    NotAPartialOrder,
+    NotBounded,
+    NotSlimSemimodular,
+)
+from .lattice import _heights, require_slim_semimodular
 
 WeakLeftPair = tuple[int, int]
 
@@ -292,6 +308,57 @@ def to_quasiplanar(d):
     return alpha
 
 
+def _chain_members(n, chain, what):
+    """``chain`` as a tuple of elements 0..n-1, else ValueError."""
+    chain = tuple(chain)
+    for i, c in enumerate(chain):
+        try:
+            if 0 <= operator.index(c) < n:
+                continue
+        except TypeError:
+            raise ValueError(f"{what}[{i}] of type {type(c).__name__} is not an integer") from None
+        raise ValueError(f"{what}[{i}] = {_shown(c)} is out of range for n={n}")
+    return tuple(map(operator.index, chain))
+
+
+def diagram_from_chains(n, covers, left_chain, right_chain):
+    """Rebuild the unique diagram of a slim semimodular lattice with the
+    given boundary chains.
+
+    ``covers`` describe the bare order (no left relation).  The two chains
+    must be maximal chains that jointly contain every join-irreducible
+    element; the orientation is then forced: x is left of y exactly when x
+    is strictly higher on the left chain and lower on the right one, so the
+    diagram is drawn from those heights and certified like the input of
+    :func:`to_quasiplanar`.  The solver runs only on an order they miss.
+    """
+    cover_list, _ = _checked(n, covers)
+    try:
+        up = _order(n, cover_list)
+    except (NotAPartialOrder, NotBounded) as e:
+        raise NotSlimSemimodular(f"not a lattice order: {e}") from e
+    left_chain = _chain_members(n, left_chain, "left_chain")
+    right_chain = _chain_members(n, right_chain, "right_chain")
+    drawn = _dominance_diagram([*zip(_heights(up, right_chain), _heights(up, left_chain))])
+    # every check below reads the order only, so any orientation gives its verdict
+    oriented = drawn if list(drawn.up) == up else order_dimension_le2(n, cover_list)
+    if oriented is None:
+        raise NotSlimSemimodular("order dimension exceeds two")
+    to_quasiplanar(oriented)
+    for chain in (left_chain, right_chain):
+        if not chain or chain[0] != oriented.bottom or chain[-1] != oriented.top:
+            raise ValueError("chains must run from the bottom to the top")
+        for a, b in zip(chain, chain[1:]):
+            if not oriented.upcov[a] & (1 << b):
+                raise ValueError(f"({a}, {b}) is not a covering step")
+    # the join-irreducibles: one lower cover each (the bottom has none)
+    covered = set(left_chain) | set(right_chain)
+    missing = [x for x in range(n) if x not in covered and oriented.dncov[x].bit_count() == 1]
+    if missing:
+        raise ChainsDoNotCoverJir(f"join-irreducible elements {missing} lie on neither chain")
+    return drawn
+
+
 @dataclass(frozen=True)
 class Antimatroid:
     """A union-closed accessible set system covering its ground set."""
@@ -309,7 +376,7 @@ def antimatroid_of(d):
     make up the law "filter complements form an antimatroid".
     """
     full = frozenset(bits(_ground_mask(d)))
-    feasible = frozenset(full - f for f in enumerate_hco_filters(d).filters)
+    feasible = frozenset(full.difference(elems) for _, elems, _ in _pair_filters(d))
     return Antimatroid(frozenset(d.interior()), feasible)
 
 

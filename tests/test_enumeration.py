@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import quasiplanar as qp
-from quasiplanar import enumeration
+from quasiplanar import enumeration, transform
 
 
 def test_expected_count_is_factorial():
@@ -20,6 +20,21 @@ def test_expected_count_is_factorial():
         qp.expected_count(1)
     with pytest.raises(ValueError):
         qp.expected_count("6")
+
+
+def test_one_size_check_with_a_bounded_message():
+    checks = (
+        qp.expected_count,
+        lambda size: next(qp.enumerate_quasiplanar(size)),
+        qp.oracle_enumerate,
+    )
+    for check in checks:
+        for size, shown in ((1, "1"), (1.5, "1.5"), (True, "True"),
+                            ("6", "'6'"), (-10**4000, "an integer of 13288 bits"),
+                            (-10**5000, "an integer of 16610 bits")):
+            with pytest.raises(ValueError) as exc:
+                check(size)
+            assert str(exc.value) == f"size must be an integer >= 2, got {shown}"
 
 
 def test_enumerate_walks_canonical_permutations_in_lex_order():
@@ -148,6 +163,19 @@ def test_verify_suite_reports_clean_sizes():
         "filter lattices are pairwise dissimilar"
     ]
     assert all(r.passed and r.witness == "" for r in report.results)
+
+
+def test_verify_suite_builds_each_pair_list_and_peeling_where_it_is_read(monkeypatch):
+    # per diagram: one weak pair list each for the filter family, β1, β2,
+    # the pair/filter maps, the antimatroid, the certificates of the two
+    # rebuilds and the filter lattice of α; the peelings for the family only
+    calls = []
+    for name in ("weak_left_pairs", "_peel"):
+        real = getattr(transform, name)
+        counted = lambda *a, real=real, name=name, **k: calls.append(name) or real(*a, **k)
+        monkeypatch.setattr(transform, name, counted)
+    assert qp.verify_suite(5).passed
+    assert (calls.count("weak_left_pairs"), calls.count("_peel")) == (6 * 8, 6 * 2)
 
 
 def test_verify_suite_carries_failures_as_data(monkeypatch):

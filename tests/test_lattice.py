@@ -1,11 +1,13 @@
 """Lattice tables, predicates, supports, isomorphism, chain reconstruction."""
 
+import random
+import time
 from dataclasses import replace
 
 import pytest
 
 import quasiplanar as qp
-from quasiplanar import enumeration, lattice
+from quasiplanar import enumeration, lattice, transform
 
 
 def test_tables_of_capped_diamond():
@@ -152,6 +154,58 @@ def test_diagram_from_chains_rejects_unfit_orders():
     n, covers = qp.boolean_cube_covers()
     with pytest.raises(qp.NotSlimSemimodular, match="dimension"):
         qp.diagram_from_chains(n, covers, (0, 1, 3, 7), (0, 4, 6, 7))
+
+
+def test_diagram_from_chains_names_a_member_that_is_no_element():
+    # checked before the order's verdict, so the pentagon's chains are named
+    d = qp.capped_diamond()
+    covers, rc = d.cover_pairs(), qp.boundary_chains(d)[1]
+    for chain, message in (
+        ((0, "a", 4), "left_chain[1] of type str is not an integer"),
+        ((0, 1.0, 4), "left_chain[1] of type float is not an integer"),
+        ((0, -1, 4), "left_chain[1] = -1 is out of range for n=5"),
+        ((0, 99, 4), "left_chain[1] = 99 is out of range for n=5"),
+        ((0, 10**12, 4), "left_chain[1] = 1000000000000 is out of range for n=5"),
+        ((0, 10**4999, 4), "left_chain[1] = an integer of 16607 bits is out of range"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            qp.diagram_from_chains(5, covers, chain, rc)
+        assert str(exc.value).startswith(message) and len(str(exc.value)) < 80
+    with pytest.raises(ValueError, match=r"^right_chain\[3\] = 5 is out of range"):
+        qp.diagram_from_chains(5, qp.pentagon().cover_pairs(), (0, 1, 4), (0, 2, 3, 5))
+    # an integer type other than int is taken as its index
+    got = qp.diagram_from_chains(5, covers, (False, True, 3, 4), rc)
+    assert got == d
+
+
+def test_diagram_from_chains_draws_without_the_solver_or_tables(monkeypatch):
+    calls = []
+    for module, name in ((transform, "order_dimension_le2"),
+                         (lattice, "_compute_tables")):
+        real = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda *a, real=real, name=name: calls.append(name) or real(*a)
+        )
+    for q in qp.enumerate_quasiplanar(6):
+        for d in (qp.lattice_from_pairs(q), qp.lattice_from_filters(q)):
+            lc, rc = qp.boundary_chains(d)
+            calls.clear()
+            assert qp.diagram_from_chains(d.n, d.cover_pairs(), lc, rc) == d
+            assert calls == []
+    n, covers = qp.boolean_cube_covers()
+    with pytest.raises(qp.NotSlimSemimodular, match="order dimension exceeds two"):
+        qp.diagram_from_chains(n, covers, (0, 1, 3, 7), (0, 4, 6, 7))
+    assert calls == ["order_dimension_le2"]
+
+
+def test_diagram_from_chains_rebuilds_a_547_element_lattice_within_a_second():
+    perm = random.Random(1).sample(range(1, 46), 45)
+    d = qp.lattice_from_filters(qp.from_canonical(perm))
+    covers, (lc, rc) = d.cover_pairs(), qp.boundary_chains(d)
+    start = time.perf_counter()
+    got = qp.diagram_from_chains(d.n, covers, lc, rc)
+    assert time.perf_counter() - start < 1.0
+    assert d.n == 547 and (got.lam_pos, got.rho_pos) == (d.lam_pos, d.rho_pos)
 
 
 def test_tables_are_built_once_per_diagram_instance(monkeypatch):

@@ -9,8 +9,10 @@ family, the intersection of the filters as the closure, a minimal-bounds
 search for the lattice tables, the triple scan for slimness, the m² loop
 for semimodularity and the table verdict for the certificate of
 ``to_quasiplanar``, meet representations over every meet-irreducible, the
-all-pairs ``validate`` that read the order twice, and the backtracking
-solver that oriented a bare order before implication classes did.
+all-pairs ``validate`` that read the order twice, the backtracking
+solver that oriented a bare order before implication classes did, and the
+``diagram_from_chains`` that oriented the order and built its tables
+before drawing from the support heights.
 """
 
 import json
@@ -1006,3 +1008,151 @@ def test_order_dimension_le2_matches_the_backtracking_solver():
             assert got.up == want.up, (n, covers)
     # 37 sampled six-point posets, the cube and the grid have dimension three
     assert wider == 39
+
+
+# -- diagram_from_chains against the version that oriented the order first --
+
+
+def _diagram_from_chains_reference(n, covers, left_chain, right_chain):
+    """Rebuild the unique diagram of a slim semimodular lattice with the
+    given boundary chains.
+
+    ``covers`` describe the bare order (no left relation).  The two chains
+    must be maximal chains that jointly contain every join-irreducible
+    element; the orientation is then forced: x is left of y exactly when
+    x's left support is strictly higher and its right support strictly
+    lower than y's, so the diagram is drawn from the support heights.
+    """
+    try:
+        oriented = qp.order_dimension_le2(n, covers)
+    except (NotAPartialOrder, NotBounded) as e:
+        raise qp.NotSlimSemimodular(f"not a lattice order: {e}") from e
+    if oriented is None:
+        raise qp.NotSlimSemimodular("order dimension exceeds two")
+    t = qp.require_slim_semimodular(oriented)
+    left_chain = tuple(left_chain)
+    right_chain = tuple(right_chain)
+    for chain in (left_chain, right_chain):
+        if not chain or chain[0] != oriented.bottom or chain[-1] != oriented.top:
+            raise ValueError("chains must run from the bottom to the top")
+        for a, b in zip(chain, chain[1:]):
+            if not oriented.upcov[a] & (1 << b):
+                raise ValueError(f"({a}, {b}) is not a covering step")
+    covered = set(left_chain) | set(right_chain)
+    missing = sorted(t.jir - covered)
+    if missing:
+        raise qp.ChainsDoNotCoverJir(
+            f"join-irreducible elements {missing} lie on neither chain"
+        )
+    # a support's height on its chain is the number of members below x
+    return _dominance_diagram([
+        (sum(oriented.leq(c, x) for c in right_chain),
+         sum(oriented.leq(c, x) for c in left_chain))
+        for x in range(n)
+    ])
+
+
+def _random_chain(rng, up):
+    """A random maximal chain of the bounded order with up masks ``up``."""
+    x = next(x for x in range(len(up)) if up[x] == (1 << len(up)) - 1)
+    chain = [x]
+    while up[x] != 1 << x:
+        above = up[x] & ~(1 << x)
+        x = rng.choice([y for y in bits(above)
+                        if not any(up[z] >> y & 1 for z in bits(above & ~(1 << y)))])
+        chain.append(x)
+    return tuple(chain)
+
+
+def _malformed(lc, rc):
+    """Three chain pairs that are not two maximal chains: a chain stopping
+    short of the top, one skipping or repeating a step, one run downwards."""
+    skipped = lc[:1] + lc[2:] if len(lc) > 2 else lc + lc[-1:]
+    return [(lc[:-1], rc), (skipped, rc), (lc, rc[::-1])]
+
+
+def _chain_inputs(max_size, rng):
+    """(n, covers, left chain, right chain) for q, β1 and β2 of every
+    diagram through ``max_size``, every bounded poset on at most
+    ``max_size`` elements, the Boolean cube and two orders that are not
+    bounded posets."""
+    for size in range(2, max_size + 1):
+        for q in qp.enumerate_quasiplanar(size):
+            for d in (q, qp.lattice_from_pairs(q), qp.lattice_from_filters(q)):
+                covers = list(d.cover_pairs())
+                chains = qp.maximal_chains(d)
+                pairs = [(lc, rc) for lc in chains for rc in chains]
+                for lc, rc in rng.sample(pairs, min(40, len(pairs))):
+                    yield d.n, covers, lc, rc
+                lc, rc = rng.choice(pairs)
+                for bad in _malformed(lc, rc):
+                    yield (d.n, covers, *bad)
+    for k in range(max_size - 1):
+        for base in _labeled_posets(k):
+            n, covers = _bounded_covers(base)
+            up = _order(n, covers)
+            for _ in range(2):
+                yield n, covers, _random_chain(rng, up), _random_chain(rng, up)
+            yield (n, covers, *rng.choice(_malformed(
+                _random_chain(rng, up), _random_chain(rng, up)
+            )))
+    n, covers = qp.boolean_cube_covers()
+    chains = {_random_chain(rng, _order(n, covers)) for _ in range(200)}
+    assert len(chains) == 6
+    for lc in chains:
+        for rc in chains:
+            yield n, covers, lc, rc
+    yield 3, [(0, 1), (1, 0)], (0, 1), (0, 1)
+    yield 3, [(0, 1)], (0, 1), (0, 1)
+
+
+def _chains_outcome(rebuild, n, covers, lc, rc):
+    try:
+        d = rebuild(n, covers, lc, rc)
+    except ValueError as e:
+        return type(e), str(e)
+    return d.lam_pos, d.rho_pos
+
+
+def _assert_chains_match_the_reference(max_size, seed):
+    kinds = {}
+    for n, covers, lc, rc in _chain_inputs(max_size, random.Random(seed)):
+        want = _chains_outcome(_diagram_from_chains_reference, n, covers, lc, rc)
+        got = _chains_outcome(qp.diagram_from_chains, n, covers, lc, rc)
+        assert got == want, (n, covers, lc, rc)
+        if isinstance(want[0], type):
+            kind = f"{want[0].__name__}: {want[1].split(':')[0]}"
+            kind = kind if want[0] is qp.NotSlimSemimodular else want[0].__name__
+        else:
+            kind = "accepted"
+        kinds[kind] = kinds.get(kind, 0) + 1
+    return kinds
+
+
+def test_diagram_from_chains_matches_the_reference_through_size_6():
+    # 2364 inputs
+    assert _assert_chains_match_the_reference(6, seed=10) == {
+        "accepted": 284,
+        "ValueError": 342,
+        "ChainsDoNotCoverJir": 1053,
+        "NotSlimSemimodular: lattice is not semimodular": 525,
+        "NotSlimSemimodular: join-irreducibles contain a 3-element antichain": 85,
+        "NotSlimSemimodular: not a lattice": 37,
+        "NotSlimSemimodular: order dimension exceeds two": 36,
+        "NotSlimSemimodular: not a lattice order": 2,
+    }
+
+
+@pytest.mark.slow
+def test_diagram_from_chains_matches_the_reference_through_size_7():
+    # 25 490 inputs
+    assert _assert_chains_match_the_reference(7, seed=11) == {
+        "accepted": 1292,
+        "ValueError": 1785,
+        "ChainsDoNotCoverJir": 9480,
+        "NotSlimSemimodular: lattice is not semimodular": 10214,
+        "NotSlimSemimodular: join-irreducibles contain a 3-element antichain": 836,
+        "NotSlimSemimodular: not a lattice": 1845,
+        "NotSlimSemimodular: order dimension exceeds two": 36,
+        "NotSlimSemimodular: not a lattice order": 2,
+    }
