@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 
@@ -21,7 +20,7 @@ from .enumeration import (
     verify_suite,
 )
 from .errors import NotSlimSemimodular
-from .io import document_of, parse, render_dot, serialize
+from .io import _COMPACT, document_of, parse, render_dot, serialize
 from .transform import lattice_from_filters, lattice_from_pairs, to_quasiplanar
 
 
@@ -41,7 +40,7 @@ def _read(path):
 
 
 def _emit(data):
-    print(json.dumps(data, separators=(",", ":")))
+    print(_COMPACT.encode(data))
 
 
 def _cmd_validate(args):

@@ -29,7 +29,7 @@ from __future__ import annotations
 import operator
 from bisect import bisect
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import islice, repeat
 
 from .errors import (
     LeftIncomplete,
@@ -224,20 +224,26 @@ class Diagram:
         last in the right-to-left one.  The walk along the first sweep
         keeps the reverse positions passed so far in order, so each y
         takes its pairs by bisection, in time proportional to their number.
+        A pair is collected as the integer x·n + y: integers sort several
+        times faster than tuples, and divmod turns them back into pairs.
         """
         lam, rho, n = self.lam_pos, self.rho_pos, self.n
-        at = [0] * n  # at[r]: the element at reverse position r
+        at = [0] * n  # at[r]: n times the element at reverse position r
+        order = [0] * n  # the left-to-right sweep
         for x in range(n):
-            at[rho[x]] = x
-        passed, out = [], []
-        for y in sorted(range(n), key=lam.__getitem__):
+            at[rho[x]] = x * n
+            order[lam[x]] = x
+        passed, codes = [], []
+        for y in order:
             r = rho[y]
             i = bisect(passed, r)
             for s in passed[i:]:
-                out.append((at[s], y))
+                codes.append(at[s] + y)
             passed.insert(i, r)
-        out.sort()
-        return tuple(out)
+        codes.sort()
+        # through a list: a tuple grown from the iterator itself is resized
+        # step by step, which left CLI enumerate peaking 4 MB higher
+        return tuple(list(map(divmod, codes, repeat(n))))
 
     def incomparable_pairs(self):
         return tuple(
@@ -377,8 +383,15 @@ def validate(n, covers, left=()):
     NotAPartialOrder, NotBounded, LeftOnComparable, LeftIncomplete, or
     NotLinearizable, in roughly that order of detection, each with the JSON
     pointer of its pair or list, if any, in ``location``.  The order is read
-    once, by :func:`_order`; whether left orients every incomparable pair is
-    a count, and both sweep positions come from one formula.
+    once, by :func:`_order`.  Both sweep positions come from counts: x sits
+    at n - 1 minus the number of elements after it, which are those above
+    x and, counted from the left pairs at x, those x is left of (in the
+    left-to-right sweep) or right of (in the other).  The result is
+    accepted when it is a diagram in which every input order pair lies
+    below and every left pair to the left, with no left pair repeated; the
+    counts then force its order and left pairs to be the input's.  Other
+    input goes on to one left mask per element, which names the first
+    failing check.
 
     n = 1 is allowed: the one-element diagram is the filter lattice of the
     two-element chain and turns up as a construction result.
@@ -387,8 +400,54 @@ def validate(n, covers, left=()):
 
 
 def _diagram_of(n, cover_list, left_list):
-    """:func:`validate` after its input checks: each pair is in 0..n-1."""
+    """:func:`validate` after its input checks: each pair is in 0..n-1.
+
+    The positions come from degree counts and are certified against the
+    input, so accepted input builds no left masks; anything not certified
+    goes to :func:`_diagram_by_masks`, which names the failure.
+    """
     up = _order(n, cover_list)
+    above = [m.bit_count() for m in up]
+    outs, ins = [0] * n, [0] * n
+    for a, b in left_list:
+        outs[a] += 1
+        ins[b] += 1
+    try:
+        d = Diagram(
+            [n - above[x] - outs[x] for x in range(n)],
+            [n - above[x] - ins[x] for x in range(n)],
+        )
+    except (NotLinearizable, NotBounded):
+        d = None
+    if d is not None and _certified(d, cover_list, left_list):
+        return d
+    return _diagram_by_masks(n, up, above, left_list)
+
+
+def _certified(d, cover_list, left_list):
+    """Whether ``d`` is the diagram of the input its positions came from.
+
+    The loops put the input's order inside d's and the left list inside
+    d's left pairs.  The positions count the pairs after each element, so
+    d has as many comparable and left pairs in all as the input: with no
+    left pair repeated, d's are exactly the input's.
+    """
+    lam, rho = d.lam_pos, d.rho_pos
+    for a, b in cover_list:
+        if not (lam[a] < lam[b] and rho[a] < rho[b]):
+            return False
+    for a, b in left_list:
+        if not (lam[a] < lam[b] and rho[a] > rho[b]):
+            return False
+    return len(set(left_list)) == len(left_list)
+
+
+def _diagram_by_masks(n, up, above, left_list):
+    """The rest of :func:`_diagram_of` on input its certificate refused.
+
+    Builds a left and a right mask per element to name the first failing
+    check; a complete left list with a pair repeated passes here.
+    """
     lft, rgt = [0] * n, [0] * n
     for i, (a, b) in enumerate(left_list):
         if up[a] & (1 << b) or up[b] & (1 << a):  # up[a] holds a itself
@@ -401,7 +460,6 @@ def _diagram_of(n, cover_list, left_list):
         lft[a] |= 1 << b
         rgt[b] |= 1 << a
     # each comparable pair is counted once, at its lower end (up[x] holds x)
-    above = [m.bit_count() for m in up]
     if sum(above) - n + sum(m.bit_count() for m in lft) != n * (n - 1) // 2:
         for x in range(n):
             # later elements neither above x nor oriented against it

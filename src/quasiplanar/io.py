@@ -16,6 +16,9 @@ from .errors import DiagramError, MalformedDocument
 
 _KEYS = ("n", "covers", "left", "name")
 
+# json.dumps builds a new encoder on every call given separators; one will do
+_COMPACT = json.JSONEncoder(separators=(",", ":"))
+
 
 @dataclass(frozen=True)
 class DiagramDocument:
@@ -31,23 +34,29 @@ def _parse_pairs(value, key, n):
     if not isinstance(value, list):
         raise MalformedDocument(f"'{key}' must be an array", f"/{key}")
     out = []
-    for i, entry in enumerate(value):
-        if not isinstance(entry, list) or len(entry) != 2:
-            raise MalformedDocument(
-                "entry must be a two-element array", f"/{key}/{i}"
-            )
-        for j, v in enumerate(entry):
-            if type(v) is not int:
-                raise MalformedDocument(
-                    "pair component must be an integer", f"/{key}/{i}/{j}"
-                )
-            if not 0 <= v < n:
-                raise MalformedDocument(
-                    f"element {_shown(v)} is out of range for n={_shown(n)}",
-                    f"/{key}/{i}/{j}",
-                )
-        out.append(tuple(entry))
+    # json.loads makes exact lists and ints, so exact type tests suffice
+    # and refuse a bool; the first entry that fails them is examined again
+    for entry in value:
+        if type(entry) is list and len(entry) == 2:
+            a, b = entry
+            if type(a) is int and type(b) is int and 0 <= a < n and 0 <= b < n:
+                out.append((a, b))
+                continue
+        _refuse_entry(entry, f"/{key}/{len(out)}", n)
     return tuple(out)
+
+
+def _refuse_entry(entry, at, n):
+    """Raise the error for a pair-list entry ``_parse_pairs`` did not take."""
+    if not isinstance(entry, list) or len(entry) != 2:
+        raise MalformedDocument("entry must be a two-element array", at)
+    for j, v in enumerate(entry):
+        if type(v) is not int:
+            raise MalformedDocument("pair component must be an integer", f"{at}/{j}")
+        if not 0 <= v < n:
+            raise MalformedDocument(
+                f"element {_shown(v)} is out of range for n={_shown(n)}", f"{at}/{j}"
+            )
 
 
 def parse_document(text):
@@ -131,7 +140,7 @@ def serialize(doc, pretty=False):
         data["name"] = doc.name
     if pretty:
         return json.dumps(data, indent=2) + "\n"
-    return json.dumps(data, separators=(",", ":"))
+    return _COMPACT.encode(data)
 
 
 def grid_layout(d):

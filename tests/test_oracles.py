@@ -9,8 +9,9 @@ family, the intersection of the filters as the closure, a minimal-bounds
 search for the lattice tables, the triple scan for slimness, the m² loop
 for semimodularity and the table verdict for the certificate of
 ``to_quasiplanar``, meet representations over every meet-irreducible, the
-all-pairs ``validate`` that read the order twice, the backtracking
-solver that oriented a bare order before implication classes did, and the
+all-pairs ``validate`` that read the order twice, the pair-list loop
+that checked each component in turn, the backtracking solver that
+oriented a bare order before implication classes did, and the
 ``diagram_from_chains`` that oriented the order and built its tables
 before drawing from the support heights.
 """
@@ -23,15 +24,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import quasiplanar as qp
-from quasiplanar import lattice, transform
+from quasiplanar import diagram, io, lattice, transform
 from quasiplanar.diagram import (
-    Diagram, _check_pairs, _dominance_diagram, _listed, _order, bits, validate,
+    Diagram, _check_pairs, _dominance_diagram, _listed, _order, _shown, bits,
+    validate,
 )
 from quasiplanar.enumeration import _labeled_posets
 from quasiplanar.transform import _ground_mask
 from quasiplanar.errors import (
     LeftIncomplete,
     LeftOnComparable,
+    MalformedDocument,
     NotAPartialOrder,
     NotBounded,
     NotLinearizable,
@@ -185,8 +188,8 @@ def _assert_derived_by_definition(d):
             assert getattr(fresh, f) == want[f], f
     fresh = Diagram(d.lam_pos, d.rho_pos)
     for f in ("cover_pairs", "left_pairs"):
-        assert sorted(getattr(fresh, f)()) == want[f], f
-        assert sorted(getattr(d, f)()) == want[f], f
+        assert list(getattr(fresh, f)()) == want[f], f
+        assert list(getattr(d, f)()) == want[f], f
 
 
 def test_derived_fields_match_the_eager_derivation():
@@ -210,6 +213,20 @@ def test_derived_fields_match_the_eager_derivation_on_samples(perms):
     d = qp.from_canonical(perm)
     for e in (d, qp.mirror(d), qp.relabel(d, names)):
         _assert_derived_by_definition(e)
+
+
+def test_left_pairs_are_listed_in_order_past_the_cached_integers():
+    # a pair leaves left_pairs as divmod(x * n + y, n), so labels from 257
+    # on are fresh integers there
+    rng = random.Random(11)
+    for n in (258, 300):
+        d = qp.from_canonical(rng.sample(range(1, n - 1), n - 2))
+        d = qp.relabel(d, rng.sample(range(n), n))
+        lam, rho = d.lam_pos, d.rho_pos
+        assert list(d.left_pairs()) == [
+            (x, y) for x in range(n) for y in range(n)
+            if lam[x] < lam[y] and rho[x] > rho[y]
+        ]
 
 
 # -- the mask-loop versions of the position-built constructions ------------
@@ -835,12 +852,18 @@ def test_validate_matches_the_reference_on_every_small_cover_set():
             ):
                 got = _assert_same_outcome(n, covers, left)
                 kinds.add(got[0] if isinstance(got[0], type) else Diagram)
+            # a repeated pair standing in for a missing one, which the left
+            # pair count alone would take for complete
+            trap = _assert_same_outcome(n, covers, inc[:-1] + inc[:1])
+            bare = _outcome(_validate_reference, n, covers, [])
+            if len(inc) > 1 and bare[0] is LeftIncomplete:
+                assert trap[0] is LeftIncomplete, (n, covers)
     assert kinds == {Diagram, NotAPartialOrder, NotBounded, LeftOnComparable,
                      LeftIncomplete, NotLinearizable}
 
 
 def test_validate_matches_the_reference_on_every_diagram_and_its_defects():
-    rng = random.Random(7)
+    rng, squares = random.Random(7), 0
     for d in _relabelled(7):
         covers, left = list(d.cover_pairs()), list(d.left_pairs())
         rng.shuffle(covers)
@@ -853,10 +876,137 @@ def test_validate_matches_the_reference_on_every_diagram_and_its_defects():
         if left:
             i = rng.randrange(len(left))
             flipped = left[i][::-1]
+            kept = left[:i] + left[i + 1:]
             # a left pair dropped, reversed, or doubled in reverse
-            _assert_same_outcome(d.n, covers, left[:i] + left[i + 1:])
+            _assert_same_outcome(d.n, covers, kept)
             _assert_same_outcome(d.n, covers, left[:i] + [flipped] + left[i + 1:])
             _assert_same_outcome(d.n, covers, left + [flipped])
+            # a dropped pair with a kept one repeated, or a cover run
+            # backwards, in its place
+            trap = _assert_same_outcome(d.n, covers, kept + kept[:1])
+            assert trap[0] is LeftIncomplete
+            _assert_same_outcome(d.n, covers, kept + [cover[::-1]])
+            # a complete list with a pair repeated is still the diagram
+            repeated = _assert_same_outcome(d.n, covers, left + left[i:i + 1])
+            assert repeated == (d.lam_pos, d.rho_pos)
+        # x and u both left of y and v: (x, y) and (u, v) repeated in place of
+        # (x, v) and (u, y) leave every count of left pairs at an element as
+        # it was, so only their repetition shows that two are missing
+        lefts = set(left)
+        for (x, y), (u, v) in combinations(sorted(lefts), 2):
+            if x != u and y != v and {(x, v), (u, y)} <= lefts:
+                crossed = [p for p in left if p not in {(x, v), (u, y)}]
+                trap = _assert_same_outcome(d.n, covers, crossed + [(x, y), (u, v)])
+                assert trap[0] is LeftIncomplete
+                squares += 1
+                break
+    assert squares == 168
+
+
+def _closed_covers(d):
+    """Every strict order pair of ``d``, non-covers included."""
+    return [(x, y) for x in range(d.n) for y in bits(d.up[x]) if x != y]
+
+
+def test_validate_builds_masks_only_to_name_a_rejection(monkeypatch):
+    fallbacks = []
+    _counting(monkeypatch, diagram, "_diagram_by_masks", fallbacks)
+    for d in _relabelled(7):
+        for covers in (d.cover_pairs(), _closed_covers(d)):
+            text = json.dumps({"n": d.n, "covers": covers, "left": d.left_pairs()})
+            assert qp.parse(text) == d
+    assert fallbacks == []
+    d = qp.relabel(qp.from_canonical((3, 1, 4, 2)), (4, 0, 5, 2, 1, 3))
+    covers, left = list(d.cover_pairs()), list(d.left_pairs())
+    # the three atoms of M3, each left of the next round a cycle
+    m3 = [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)]
+    cycle = [(1, 2), (2, 3), (3, 1)]
+    # each defect the left list can carry goes through the mask loop once,
+    # and so does a complete list with a pair repeated, which it accepts
+    for n, cs, ls, kind in (
+        (d.n, covers, left + covers[:1], LeftOnComparable),
+        (d.n, covers, left + [left[0][::-1]], NotLinearizable),
+        (d.n, covers, left[1:], LeftIncomplete),
+        (d.n, covers, left[1:] + left[1:2], LeftIncomplete),
+        (5, m3, cycle, NotLinearizable),
+        (d.n, covers, left + left[:1], None),
+    ):
+        fallbacks.clear()
+        got = _outcome(qp.validate, n, cs, ls)
+        assert got[0] is kind if kind else got == (d.lam_pos, d.rho_pos)
+        assert fallbacks == ["_diagram_by_masks"]
+
+
+# -- _parse_pairs against the loop that checked each component in turn -----
+
+
+def _parse_pairs_reference(value, key, n):
+    if not isinstance(value, list):
+        raise MalformedDocument(f"'{key}' must be an array", f"/{key}")
+    out = []
+    for i, entry in enumerate(value):
+        if not isinstance(entry, list) or len(entry) != 2:
+            raise MalformedDocument(
+                "entry must be a two-element array", f"/{key}/{i}"
+            )
+        for j, v in enumerate(entry):
+            if type(v) is not int:
+                raise MalformedDocument(
+                    "pair component must be an integer", f"/{key}/{i}/{j}"
+                )
+            if not 0 <= v < n:
+                raise MalformedDocument(
+                    f"element {_shown(v)} is out of range for n={_shown(n)}",
+                    f"/{key}/{i}/{j}",
+                )
+        out.append(tuple(entry))
+    return tuple(out)
+
+
+def _parse_outcome(parse, *args):
+    try:
+        return parse(*args)
+    except MalformedDocument as e:
+        return type(e), str(e), e.location
+
+
+def _bad_entries(n):
+    """Entries a pair list must refuse: bad components, shapes and values."""
+    components = [True, False, 1.5, 2.0, "1", None, [1], [[0, 1]], {},
+                  -1, n, n + 1, 10**69, -10**69]
+    for c in components:
+        yield [c, 0]
+        yield [n - 1, c]
+        yield [c, c]
+    yield [True, n]  # the first bad component is named, not the second
+    yield [n, "1"]
+    yield from ([], [0], [0, 1, 2], [[0, 1]], {}, {"0": 0, "1": 1}, 0, "01", None)
+
+
+def test_parse_pairs_matches_the_reference_on_mutated_lists(monkeypatch):
+    d = qp.relabel(qp.from_canonical((3, 1, 4, 2)), (4, 0, 5, 2, 1, 3))
+    n, compared = d.n, 0
+    for key, pairs in (("covers", d.cover_pairs()), ("left", d.left_pairs())):
+        pairs = [list(p) for p in pairs]
+        cases = [pairs, [], {}, 0, "[]", None, [pairs]]
+        for bad in _bad_entries(n):
+            for at in (0, len(pairs) // 2, len(pairs)):
+                cases.append(pairs[:at] + [bad] + pairs[at:])
+        for case in cases:
+            value = json.loads(json.dumps(case))
+            want = _parse_outcome(_parse_pairs_reference, value, key, n)
+            assert _parse_outcome(io._parse_pairs, value, key, n) == want, case
+            # and through the document, where a 70-digit n also turns up
+            for m in (n, 10**69):
+                doc = {"n": m, "covers": [[0, 1]], "left": []}
+                doc[key] = case
+                text = json.dumps(doc)
+                with monkeypatch.context() as patched:
+                    patched.setattr(io, "_parse_pairs", _parse_pairs_reference)
+                    want = _parse_outcome(qp.parse_document, text)
+                assert _parse_outcome(qp.parse_document, text) == want, (m, case)
+            compared += 1
+    assert compared == 2 * (7 + 3 * (3 * 14 + 2 + 9))
 
 
 # -- order_dimension_le2 against the backtracking solver it replaced -------
