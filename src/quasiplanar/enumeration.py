@@ -32,11 +32,11 @@ from .diagram import (
 )
 from .errors import LawViolation, SizeTooLarge
 from .lattice import (
+    _slim_semimodular_tables,
     boundary_chains,
     irredundant_meet_representations,
     is_join_distributive,
     lattice_isomorphic,
-    require_slim_semimodular,
     supports,
 )
 from .transform import (
@@ -329,7 +329,12 @@ class _Ctx:
 
     @cached_property
     def tables(self):
-        return require_slim_semimodular(self.beta2)
+        # by the definition, not the certificate: the suite is its oracle
+        return _slim_semimodular_tables(self.beta2)
+
+    @cached_property
+    def chains(self):
+        return boundary_chains(self.beta2)
 
     @cached_property
     def alpha2(self):
@@ -407,12 +412,12 @@ def _check_validation(c):
 
 
 def _check_filter_lattice_structure(c):
-    require_slim_semimodular(c.beta2)
+    _slim_semimodular_tables(c.beta2)
     _require(is_join_distributive(c.beta2), "filter lattice is not join distributive")
 
 
 def _check_pair_lattice_structure(c):
-    require_slim_semimodular(c.beta1)
+    _slim_semimodular_tables(c.beta1)
     _require(is_join_distributive(c.beta1), "pair lattice is not join distributive")
 
 
@@ -552,7 +557,7 @@ def _check_peelings(c):
     lc = tuple(c.filter_index[f] for f in fam.left_chain)
     rc = tuple(c.filter_index[f] for f in fam.right_chain)
     _require(
-        boundary_chains(c.beta2) == (lc, rc),
+        c.chains == (lc, rc),
         "peel chains are not the boundary chains",
     )
 
@@ -602,7 +607,7 @@ def _check_meet_irreducible_filters(c):
 def _check_supports(c):
     sup = c.support_data
     d = c.beta2
-    lc, rc = boundary_chains(d)
+    lc, rc = c.chains
     lrank = {x: i for i, x in enumerate(lc)}
     rrank = {x: i for i, x in enumerate(rc)}
     # the drawing diagram_from_chains makes from the support heights
@@ -699,7 +704,7 @@ def _check_chain_sides(c):
                     "element {} straddles the chain {}", x, chain,
                 )
     d = c.beta2
-    lc, rc = boundary_chains(d)
+    lc, rc = c.chains
     for x in range(d.n):
         if x not in lc:
             _require(

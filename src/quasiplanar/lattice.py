@@ -29,10 +29,9 @@ from .errors import NotALattice, NotSlimSemimodular
 class LatticeTables:
     """Meet/join tables and the derived element classes of a lattice diagram.
 
-    ``jir``/``mir`` are the join-/meet-irreducible elements: exactly one
-    lower (upper) cover, with the bottom (top) excluded.  ``nar`` holds the
-    narrows, the elements comparable with everything.  ``upstar[x]`` is the
-    join of all upper covers of x (x itself at the top).
+    ``jir``/``mir``/``nar`` are the join- and meet-irreducibles and the
+    narrows, as :func:`_jir`, :func:`_mir` and :func:`_nar` define them for
+    every caller.  ``upstar[x]`` is the join of x's upper covers (x at the top).
     """
 
     n: int
@@ -64,16 +63,40 @@ def lattice_tables(d):
     return d._tables
 
 
+# One definition each: jir (mir) have one lower (upper) cover, so not the bottom
+# (top); nar are comparable with all.  Split so that jir and mir read no order masks.
+
+
+def _jir(d):
+    return frozenset(x for x in range(d.n) if d.dncov[x].bit_count() == 1)
+
+
+def _mir(d):
+    return frozenset(x for x in range(d.n) if d.upcov[x].bit_count() == 1)
+
+
+def _nar(d):
+    full = (1 << d.n) - 1
+    return frozenset(x for x in range(d.n) if d.up[x] | d.dn[x] == full)
+
+
 def boundary_chains(d):
     """The leftmost and rightmost maximal chains of a lattice diagram.
 
     Walk up from the bottom, always taking the leftmost (resp. rightmost)
     upper cover.  The left chain C satisfies: every element off C that is
     incomparable to some member of C lies to its right; dually for the
-    right chain.  Raises NotALattice, with the witness of
-    :func:`lattice_tables`, when ``d`` is no lattice.
+    right chain.  Only a ``d`` that :func:`require_slim_semimodular` refuses
+    builds :func:`lattice_tables`, whose NotALattice names a non-lattice.
     """
-    lattice_tables(d)
+    try:
+        require_slim_semimodular(d)
+    except NotSlimSemimodular:
+        lattice_tables(d)
+    return _cover_walks(d)
+
+
+def _cover_walks(d):
     chains = []
     for pick in (min, max):  # the leftmost, then the rightmost cover
         chain = [d.bottom]
@@ -139,14 +162,6 @@ def _compute_tables(d):
             if common != dnl[m]:
                 raise _no_bound(d, x, y, above=False)
             meet_x[y] = meet[y][x] = m
-    jir = frozenset(
-        x for x in range(n) if x != d.bottom and d.dncov[x].bit_count() == 1
-    )
-    mir = frozenset(
-        x for x in range(n) if x != d.top and d.upcov[x].bit_count() == 1
-    )
-    full = (1 << n) - 1
-    nar = frozenset(x for x in range(n) if d.up[x] | d.dn[x] == full)
     upstar = []
     for x in range(n):
         j = x
@@ -157,7 +172,7 @@ def _compute_tables(d):
         for x in range(n):
             table[x] = tuple(table[x])
     return LatticeTables(
-        n, tuple(join), tuple(meet), jir, mir, nar, tuple(upstar),
+        n, tuple(join), tuple(meet), _jir(d), _mir(d), _nar(d), tuple(upstar),
     )
 
 
@@ -221,7 +236,17 @@ def is_join_distributive(d):
 
 
 def require_slim_semimodular(d):
-    """Tables of d, raising NotSlimSemimodular unless d is a slim semimodular lattice diagram."""
+    """Raise NotSlimSemimodular unless d is a slim semimodular lattice
+    diagram; return None.  The one gate: :func:`~quasiplanar.transform.to_quasiplanar`
+    decides, and builds tables only to name a rejection."""
+    from .transform import to_quasiplanar  # at call time: transform imports this module
+
+    to_quasiplanar(d)
+
+
+def _slim_semimodular_tables(d):
+    """The tables of d, or NotSlimSemimodular naming what fails: the m²
+    definition that names every rejection, and the certificate's oracle."""
     try:
         t = lattice_tables(d)
     except NotALattice as e:
@@ -258,18 +283,19 @@ def _heights(up, chain):
 def supports(d):
     """Compute the four support maps of a slim semimodular lattice diagram.
 
-    x's support on a boundary chain is the member at x's height on it, the
-    height :func:`~quasiplanar.transform.diagram_from_chains` draws from.
-    That every element is the join of its supports and every non-top
-    element the meet of its dual supports is part of the law "supports
-    compose every element".
+    Past :func:`require_slim_semimodular`, no tables: x's support on a
+    boundary chain is the member at x's height on it, the height
+    :func:`~quasiplanar.transform.diagram_from_chains` draws from.  That
+    every element is the join of its supports and every non-top element
+    the meet of its dual supports is part of the law "supports compose
+    every element".
     """
-    t = require_slim_semimodular(d)
+    require_slim_semimodular(d)
     lsp, rsp = (
         tuple(chain[h - 1] for h in _heights(d.up, chain))
-        for chain in boundary_chains(d)
+        for chain in _cover_walks(d)
     )
-    mir_mask = sum(1 << m for m in t.mir)
+    mir_mask = sum(1 << m for m in _mir(d))
     lds, rds = [], []
     for x in range(d.n):
         # the top is its own dual support
@@ -313,15 +339,15 @@ def interval_subdiagram(d, lo, hi):
 def lattice_isomorphic(d1, d2):
     """Whether two slim semimodular lattice diagrams have isomorphic lattices.
 
-    The narrows of each diagram form a chain through every diagram of the
-    same lattice; the lattices are isomorphic exactly when the interval
-    blocks between consecutive narrows match up to similarity or mirror
-    similarity, block by block.
+    Past :func:`require_slim_semimodular`, no tables: the narrows of each
+    diagram form a chain through every diagram of the same lattice, and the
+    lattices are isomorphic exactly when the interval blocks between
+    consecutive narrows match up to similarity or mirror similarity.
     """
-    t1 = require_slim_semimodular(d1)
-    t2 = require_slim_semimodular(d2)
-    nar1 = sorted(t1.nar, key=lambda x: d1.dn[x].bit_count())
-    nar2 = sorted(t2.nar, key=lambda x: d2.dn[x].bit_count())
+    require_slim_semimodular(d1)
+    require_slim_semimodular(d2)
+    nar1 = sorted(_nar(d1), key=lambda x: d1.dn[x].bit_count())
+    nar2 = sorted(_nar(d2), key=lambda x: d2.dn[x].bit_count())
     if len(nar1) != len(nar2):
         return False
     for (a1, b1), (a2, b2) in zip(zip(nar1, nar1[1:]), zip(nar2, nar2[1:])):

@@ -44,7 +44,7 @@ from .errors import (
     NotBounded,
     NotSlimSemimodular,
 )
-from .lattice import _heights, require_slim_semimodular
+from .lattice import _heights, _jir, _mir, _slim_semimodular_tables, require_slim_semimodular
 
 WeakLeftPair = tuple[int, int]
 
@@ -288,9 +288,9 @@ def to_quasiplanar(d):
     semimodular ``d`` is (complete).  That pair lattice, one element per
     element above the bottom and per left pair, is built only if the walk
     of ``Diagram.left_pairs``, cut off past ``d.n``, counts ``d.n`` of them.
-    Rejected input goes to ``require_slim_semimodular`` for its message.
+    Every gate decides by this; rejected input goes to the tables for its message.
     """
-    keep = [x for x in range(d.n) if x == d.top or d.upcov[x].bit_count() == 1]
+    keep = sorted(_mir(d) | {d.top})
     # the fresh bottom's key sorts first in both sweeps
     keys = [(-1, -1)] + [(d.lam_pos[x], d.rho_pos[x]) for x in keep]
     alpha = _dominance_diagram(keys)
@@ -304,7 +304,7 @@ def to_quasiplanar(d):
             break
         passed.insert(i, alpha.rho_pos[y])
     if size != d.n or not similar(lattice_from_pairs(alpha), d):
-        require_slim_semimodular(d)
+        _slim_semimodular_tables(d)
     return alpha
 
 
@@ -344,16 +344,14 @@ def diagram_from_chains(n, covers, left_chain, right_chain):
     oriented = drawn if list(drawn.up) == up else order_dimension_le2(n, cover_list)
     if oriented is None:
         raise NotSlimSemimodular("order dimension exceeds two")
-    to_quasiplanar(oriented)
+    require_slim_semimodular(oriented)
     for chain in (left_chain, right_chain):
         if not chain or chain[0] != oriented.bottom or chain[-1] != oriented.top:
             raise ValueError("chains must run from the bottom to the top")
         for a, b in zip(chain, chain[1:]):
             if not oriented.upcov[a] & (1 << b):
                 raise ValueError(f"({a}, {b}) is not a covering step")
-    # the join-irreducibles: one lower cover each (the bottom has none)
-    covered = set(left_chain) | set(right_chain)
-    missing = [x for x in range(n) if x not in covered and oriented.dncov[x].bit_count() == 1]
+    missing = sorted(_jir(oriented) - set(left_chain) - set(right_chain))
     if missing:
         raise ChainsDoNotCoverJir(f"join-irreducible elements {missing} lie on neither chain")
     return drawn

@@ -168,14 +168,15 @@ def test_verify_suite_reports_clean_sizes():
 def test_verify_suite_builds_each_pair_list_and_peeling_where_it_is_read(monkeypatch):
     # per diagram: one weak pair list each for the filter family, β1, β2,
     # the pair/filter maps, the antimatroid, the certificates of the two
-    # rebuilds and the filter lattice of α; the peelings for the family only
+    # rebuilds, the filter lattice of α, and the certificates that gate
+    # boundary_chains and supports on β2; the peelings for the family only
     calls = []
     for name in ("weak_left_pairs", "_peel"):
         real = getattr(transform, name)
         counted = lambda *a, real=real, name=name, **k: calls.append(name) or real(*a, **k)
         monkeypatch.setattr(transform, name, counted)
     assert qp.verify_suite(5).passed
-    assert (calls.count("weak_left_pairs"), calls.count("_peel")) == (6 * 8, 6 * 2)
+    assert (calls.count("weak_left_pairs"), calls.count("_peel")) == (6 * 10, 6 * 2)
 
 
 def test_verify_suite_carries_failures_as_data(monkeypatch):

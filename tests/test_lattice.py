@@ -55,7 +55,9 @@ def test_require_slim_semimodular_names_the_failure():
         qp.require_slim_semimodular(qp.pentagon())
     with pytest.raises(qp.NotSlimSemimodular, match="antichain"):
         qp.require_slim_semimodular(qp.three_atom_diamond())
-    t = qp.require_slim_semimodular(qp.capped_diamond())
+    d = qp.capped_diamond()
+    assert qp.require_slim_semimodular(d) is None
+    t = qp.lattice_tables(d)
     assert t.mir == frozenset({1, 2, 3})
 
 
@@ -208,6 +210,42 @@ def test_diagram_from_chains_rebuilds_a_547_element_lattice_within_a_second():
     assert d.n == 547 and (got.lam_pos, got.rho_pos) == (d.lam_pos, d.rho_pos)
 
 
+def test_gates_pass_a_547_element_lattice_without_tables(monkeypatch):
+    built = []
+    compute = lattice._compute_tables
+    monkeypatch.setattr(
+        lattice, "_compute_tables", lambda d: built.append(d) or compute(d)
+    )
+    perm = random.Random(1).sample(range(1, 46), 45)
+    d = qp.lattice_from_filters(qp.from_canonical(perm))
+    twin = qp.Diagram(d.lam_pos, d.rho_pos)
+    for gate in (
+        qp.require_slim_semimodular,
+        qp.boundary_chains,
+        qp.supports,
+        lambda d: qp.lattice_isomorphic(d, twin),
+    ):
+        start = time.perf_counter()
+        gate(d)
+        assert time.perf_counter() - start < 1.0
+    assert d.n == 547 and built == []
+    assert qp.lattice_isomorphic(d, twin)
+    # a rejection is still named by the tables
+    capped = qp.capped_diamond()
+    for bad, message in (
+        (qp.pentagon(), "lattice is not semimodular"),
+        (qp.three_atom_diamond(), "join-irreducibles contain a 3-element antichain"),
+    ):
+        for gate in (
+            qp.supports,
+            lambda b: qp.lattice_isomorphic(b, capped),
+            lambda b: qp.lattice_isomorphic(capped, b),
+        ):
+            with pytest.raises(qp.NotSlimSemimodular) as exc:
+                gate(bad)
+            assert str(exc.value) == message
+
+
 def test_tables_are_built_once_per_diagram_instance(monkeypatch):
     built = []
     compute = lattice._compute_tables
@@ -256,13 +294,13 @@ def test_self_checks_raise_law_violations(monkeypatch):
     # supports only construct; the law fails forged join and meet tables,
     # and a right chain that misses the right supports, with the message of
     # each check
-    real = enumeration.require_slim_semimodular
+    real = enumeration._slim_semimodular_tables
     chains = enumeration.boundary_chains
     for name, forged, message in (
-        ("require_slim_semimodular",
+        ("_slim_semimodular_tables",
          lambda d: replace(real(d), join=real(d).meet),
          "element is not the join of its supports"),
-        ("require_slim_semimodular",
+        ("_slim_semimodular_tables",
          lambda d: replace(real(d), meet=real(d).join),
          "element is not the meet of its dual supports"),
         ("boundary_chains",

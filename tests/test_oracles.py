@@ -272,7 +272,8 @@ def _interval_by_masks(d, lo, hi):
 
 
 def _to_quasiplanar_by_masks(d):
-    t = qp.require_slim_semimodular(d)
+    qp.require_slim_semimodular(d)
+    t = qp.lattice_tables(d)
     up, lft = _restrict_by_masks(d, sorted(t.mir | {d.top}), 1)
     up[0] = (1 << len(up)) - 1
     return len(up), tuple(up), tuple(lft)
@@ -584,9 +585,9 @@ def _rejection_by_tables(d):
     return None
 
 
-def _through_size_9():
-    """Every diagram of size 2..9, its mirror and its pair lattice."""
-    for size in range(2, 10):
+def _through_size(last):
+    """Every diagram of size 2..last, its mirror and its pair lattice."""
+    for size in range(2, last + 1):
         for q in qp.enumerate_quasiplanar(size):
             yield q
             yield qp.mirror(q)
@@ -606,26 +607,60 @@ def _counting(monkeypatch, module, name, calls):
     monkeypatch.setattr(module, name, lambda *a: calls.append(name) or real(*a))
 
 
+def _boundary_chains_by_definition(d):
+    """The elements with nothing to their left, then those with nothing to
+    their right, each bottom to top."""
+    return tuple(
+        tuple(x for x in d.lam_order if not beside[x]) for beside in (d.rgt, d.lft)
+    )
+
+
 def test_certificate_verdict_matches_the_tables_through_size_9(monkeypatch):
-    fallbacks = []
-    _counting(monkeypatch, transform, "require_slim_semimodular", fallbacks)
+    # every gate accepts what the tables accept, building none, and names
+    # every rejection as the tables do
+    fallbacks, built = [], []
+    _counting(monkeypatch, transform, "_slim_semimodular_tables", fallbacks)
+    _counting(monkeypatch, lattice, "_compute_tables", built)
+    gates = (
+        qp.require_slim_semimodular,
+        qp.supports,
+        lambda d: qp.lattice_isomorphic(d, d),
+    )
     verdicts = {}
-    for d in _through_size_9():
+    for d in _through_size(9):
         # the oracle's tables go on a copy, so d reaches α without them
         copy = Diagram(d.lam_pos, d.rho_pos)
         want = _rejection_by_tables(copy)
         fallbacks.clear()
+        built.clear()
         if want is None:
             alpha = qp.to_quasiplanar(d)
+            for gate in gates:
+                gate(d)
+            assert qp.boundary_chains(d) == _boundary_chains_by_definition(d)
             # accepted by the certificate: no table path was taken
-            assert fallbacks == [] and d._tables is None
+            assert fallbacks == [] and built == [] and d._tables is None
             assert _masks(alpha) == _to_quasiplanar_by_masks(copy)
             want = "accepted"
         else:
             with pytest.raises(qp.NotSlimSemimodular) as exc:
                 qp.to_quasiplanar(d)
-            assert fallbacks == ["require_slim_semimodular"]
+            assert fallbacks == ["_slim_semimodular_tables"]
             assert str(exc.value) == want
+            for gate in gates:
+                with pytest.raises(qp.NotSlimSemimodular) as exc:
+                    gate(d)
+                assert str(exc.value) == want
+            if want.startswith("not a lattice"):
+                with pytest.raises(qp.NotALattice) as exc:
+                    qp.boundary_chains(d)
+                with pytest.raises(qp.NotALattice) as by_tables:
+                    qp.lattice_tables(copy)
+                assert (str(exc.value), exc.value.witness) == (
+                    str(by_tables.value), by_tables.value.witness
+                )
+            else:
+                assert qp.boundary_chains(d) == _boundary_chains_by_definition(d)
         kind = want.split(":")[0]
         verdicts[kind] = verdicts.get(kind, 0) + 1
     assert verdicts == {
@@ -636,12 +671,56 @@ def test_certificate_verdict_matches_the_tables_through_size_9(monkeypatch):
     }
 
 
+def _meet_semidistributive(d, t):
+    """x∧y = x∧z forces x∧(y∨z) = x∧y, over every triple."""
+    join, meet = t.join, t.meet
+    return all(
+        meet[x][y] != meet[x][z] or meet[x][join[y][z]] == meet[x][y]
+        for x in range(d.n) for y, z in combinations(range(d.n), 2)
+    )
+
+
+def _has_cover_preserving_m3(d, t):
+    """Some element with three upper covers whose pairwise joins are one
+    element covering all three."""
+    for o in range(d.n):
+        for a, b, c in combinations(bits(d.upcov[o]), 3):
+            i = t.join[a][b]
+            if t.join[a][c] == i == t.join[b][c] and all(
+                d.upcov[e] >> i & 1 for e in (a, b, c)
+            ):
+                return True
+    return False
+
+
+def test_join_distributivity_and_slimness_match_their_characterisations():
+    # Edelman (1980): join-distributive exactly when semimodular and
+    # meet-semidistributive.  Czédli and Schmidt (Slim semimodular lattices
+    # I): a planar semimodular lattice is slim exactly when it has no
+    # cover-preserving M3 sublattice; every lattice diagram is planar.
+    lattices = distributive = semimodular = slim = 0
+    for d in _through_size(7):
+        if not qp.is_lattice(d):
+            continue
+        t = qp.lattice_tables(d)
+        modular = _semimodular_by_all_pairs(d, t)
+        want = modular and _meet_semidistributive(d, t)
+        assert qp.is_join_distributive(d) == want
+        if modular:
+            assert qp.is_slim(d) == (not _has_cover_preserving_m3(d, t))
+            slim += qp.is_slim(d)
+        lattices += 1
+        distributive += want
+        semimodular += modular
+    assert (lattices, distributive, semimodular, slim) == (428, 202, 230, 202)
+
+
 def test_birkhoff_condition_matches_the_all_pairs_definition():
     # M3 is modular; the pentagon and the six-element cycle are not
     # semimodular; the catalog's hexagon is no lattice at all
     extras = (qp.pentagon(), qp.three_atom_diamond(), _two_chains(2), qp.hexagon())
     checked = semimodular = 0
-    for d in (*_through_size_9(), *extras):
+    for d in (*_through_size(9), *extras):
         if qp.is_lattice(d):
             t = qp.lattice_tables(d)
             want = _semimodular_by_all_pairs(d, t)
@@ -691,7 +770,8 @@ def test_meet_representations_match_the_scan_of_every_meet_irreducible():
     for size in range(2, 8):
         for q in qp.enumerate_quasiplanar(size):
             d = qp.lattice_from_filters(q)
-            t = qp.require_slim_semimodular(d)
+            qp.require_slim_semimodular(d)
+            t = qp.lattice_tables(d)
             for x in range(d.n):
                 assert qp.irredundant_meet_representations(d, t, x) == (
                     _irredundant_meet_representations_by_full_scan(d, t, x)
@@ -1179,7 +1259,8 @@ def _diagram_from_chains_reference(n, covers, left_chain, right_chain):
         raise qp.NotSlimSemimodular(f"not a lattice order: {e}") from e
     if oriented is None:
         raise qp.NotSlimSemimodular("order dimension exceeds two")
-    t = qp.require_slim_semimodular(oriented)
+    qp.require_slim_semimodular(oriented)
+    t = qp.lattice_tables(oriented)
     left_chain = tuple(left_chain)
     right_chain = tuple(right_chain)
     for chain in (left_chain, right_chain):
