@@ -19,9 +19,8 @@ from .enumeration import (
     expected_count,
     verify_suite,
 )
-from .errors import NotSlimSemimodular
-from .io import _COMPACT, document_of, parse, render_dot, serialize
-from .transform import lattice_from_filters, lattice_from_pairs, to_quasiplanar
+from .io import _COMPACT, parse, render_dot, serialize
+from .transform import _rebuilt, lattice_from_filters, lattice_from_pairs, to_quasiplanar
 
 
 class _Parser(argparse.ArgumentParser):
@@ -45,7 +44,7 @@ def _emit(data):
 
 def _cmd_validate(args):
     d = parse(_read(args.file))
-    print(serialize(document_of(d)))
+    print(serialize(d))
     return 0
 
 
@@ -71,15 +70,12 @@ def _cmd_beta(args):
 def _cmd_roundtrip(args):
     d = parse(_read(args.file))
     mode = args.direction
-    if mode != "diagram":
-        # auto tries the lattice direction; to_quasiplanar checks the input
-        try:
-            alpha = to_quasiplanar(d)
-            mode = "lattice"
-        except NotSlimSemimodular:
-            if mode == "lattice":
-                raise
-            mode = "diagram"
+    if mode == "lattice":
+        alpha = to_quasiplanar(d)  # a refusal is shown, so it is named
+    elif mode == "auto":
+        # the certificate's verdict picks the direction; no tables are built
+        alpha, certified = _rebuilt(d)
+        mode = "lattice" if certified else "diagram"
     if mode == "lattice":
         back = lattice_from_filters(alpha)
     else:

@@ -32,12 +32,12 @@ from .diagram import (
 )
 from .errors import LawViolation, SizeTooLarge
 from .lattice import (
+    _cover_walks,
     _slim_semimodular_tables,
-    boundary_chains,
+    _supports,
     irredundant_meet_representations,
     is_join_distributive,
     lattice_isomorphic,
-    supports,
 )
 from .transform import (
     _ground_mask,
@@ -332,9 +332,10 @@ class _Ctx:
         # by the definition, not the certificate: the suite is its oracle
         return _slim_semimodular_tables(self.beta2)
 
+    # past the gate: alpha2 certifies beta2, and tables check it by definition
     @cached_property
     def chains(self):
-        return boundary_chains(self.beta2)
+        return _cover_walks(self.beta2)
 
     @cached_property
     def alpha2(self):
@@ -346,7 +347,7 @@ class _Ctx:
 
     @cached_property
     def support_data(self):
-        return supports(self.beta2)
+        return _supports(self.beta2)
 
     @cached_property
     def filter_index(self):
@@ -412,7 +413,7 @@ def _check_validation(c):
 
 
 def _check_filter_lattice_structure(c):
-    _slim_semimodular_tables(c.beta2)
+    c.tables  # NotSlimSemimodular names what fails
     _require(is_join_distributive(c.beta2), "filter lattice is not join distributive")
 
 

@@ -126,18 +126,17 @@ def serialize(doc, pretty=False):
     """Render a document (or diagram) as canonical JSON text.
 
     Key order is fixed, pair lists are sorted, and the compact form uses
-    no whitespace, so equality of diagrams means equality of bytes.
+    no whitespace, so equality of diagrams means equality of bytes.  A
+    diagram's pairs come sorted; a document's are sorted here.
     """
-    if not isinstance(doc, DiagramDocument):
-        doc = document_of(doc)
-    data = {
-        "n": doc.n,
-        # json writes a tuple as an array
-        "covers": sorted(doc.covers),
-        "left": sorted(doc.left),
-    }
-    if doc.name is not None:
-        data["name"] = doc.name
+    if isinstance(doc, DiagramDocument):
+        covers, left, name = sorted(doc.covers), sorted(doc.left), doc.name
+    else:
+        covers, left, name = doc.cover_pairs(), doc.left_pairs(), None
+    # json writes a tuple as an array
+    data = {"n": doc.n, "covers": covers, "left": left}
+    if name is not None:
+        data["name"] = name
     if pretty:
         return json.dumps(data, indent=2) + "\n"
     return _COMPACT.encode(data)

@@ -19,6 +19,7 @@ from .diagram import (
     _maximal_in,
     _minimal_in,
     bits,
+    canonical_relabel,
     mirror,
     similar,
 )
@@ -86,12 +87,10 @@ def boundary_chains(d):
     Walk up from the bottom, always taking the leftmost (resp. rightmost)
     upper cover.  The left chain C satisfies: every element off C that is
     incomparable to some member of C lies to its right; dually for the
-    right chain.  Only a ``d`` that :func:`require_slim_semimodular` refuses
-    builds :func:`lattice_tables`, whose NotALattice names a non-lattice.
+    right chain.  Only a ``d`` that :func:`_certified` refuses builds
+    :func:`lattice_tables`, once, whose NotALattice names a non-lattice.
     """
-    try:
-        require_slim_semimodular(d)
-    except NotSlimSemimodular:
+    if not _certified(d):
         lattice_tables(d)
     return _cover_walks(d)
 
@@ -104,27 +103,6 @@ def _cover_walks(d):
             chain.append(pick(bits(d.upcov[chain[-1]]), key=d.lam_pos.__getitem__))
         chains.append(tuple(chain))
     return tuple(chains)
-
-
-def _sweep_masks(d):
-    """The ``up`` and ``dn`` masks re-indexed by left-to-right sweep position.
-
-    y >= x exactly when y comes at or after x in both sweeps, so walking
-    the right-to-left sweep and cutting the positions seen so far at x's
-    own position gives each mask in O(1) big-integer operations.
-    """
-    upl, dnl = [0] * d.n, [0] * d.n
-    seen = 0
-    for x in d.rho_order:
-        p = d.lam_pos[x]
-        seen |= 1 << p
-        dnl[x] = seen & ((2 << p) - 1)
-    seen = 0
-    for x in reversed(d.rho_order):
-        p = d.lam_pos[x]
-        seen |= 1 << p
-        upl[x] = seen >> p << p
-    return upl, dnl
 
 
 def _no_bound(d, x, y, above):
@@ -140,9 +118,13 @@ def _no_bound(d, x, y, above):
 
 
 def _compute_tables(d):
+    """:func:`lattice_tables` from the up/down masks of ``canonical_relabel(d)``."""
     n = d.n
     order = d.lam_order
-    upl, dnl = _sweep_masks(d)
+    # masks by sweep position: the first common upper bound is the lowest bit
+    c = canonical_relabel(d)
+    upl = [c.up[p] for p in d.lam_pos]
+    dnl = [c.dn[p] for p in d.lam_pos]
     join = [[0] * n for _ in range(n)]
     meet = [[0] * n for _ in range(n)]
     for x in range(n):
@@ -235,13 +217,19 @@ def is_join_distributive(d):
     return True
 
 
+def _certified(d):
+    """Whether the certificate of ``to_quasiplanar`` accepts d; builds no tables."""
+    from .transform import _rebuilt  # at call time: transform imports this module
+
+    return _rebuilt(d)[1]
+
+
 def require_slim_semimodular(d):
     """Raise NotSlimSemimodular unless d is a slim semimodular lattice
-    diagram; return None.  The one gate: :func:`~quasiplanar.transform.to_quasiplanar`
-    decides, and builds tables only to name a rejection."""
-    from .transform import to_quasiplanar  # at call time: transform imports this module
-
-    to_quasiplanar(d)
+    diagram; return None.  The one gate: :func:`_certified` decides, and
+    the tables are built only to name a rejection."""
+    if not _certified(d):
+        _slim_semimodular_tables(d)
 
 
 def _slim_semimodular_tables(d):
@@ -288,9 +276,13 @@ def supports(d):
     :func:`~quasiplanar.transform.diagram_from_chains` draws from.  That
     every element is the join of its supports and every non-top element
     the meet of its dual supports is part of the law "supports compose
-    every element".
+    every element", which reads :func:`_supports`, the body past the gate.
     """
     require_slim_semimodular(d)
+    return _supports(d)
+
+
+def _supports(d):
     lsp, rsp = (
         tuple(chain[h - 1] for h in _heights(d.up, chain))
         for chain in _cover_walks(d)

@@ -282,13 +282,25 @@ def to_quasiplanar(d):
     a slim semimodular lattice diagram.  Labels 1.. follow the original
     label order of the kept elements.
 
-    The result certifies ``d`` without lattice tables: every pair lattice
-    is slim semimodular, so ``d`` is one if the result's pair lattice is
-    similar to it (sound), and by the paper's bijection every slim
-    semimodular ``d`` is (complete).  That pair lattice, one element per
-    element above the bottom and per left pair, is built only if the walk
-    of ``Diagram.left_pairs``, cut off past ``d.n``, counts ``d.n`` of them.
-    Every gate decides by this; rejected input goes to the tables for its message.
+    :func:`_rebuilt` decides without lattice tables; only a rejected ``d``
+    goes to the tables, which name the failure in NotSlimSemimodular.
+    """
+    alpha, certified = _rebuilt(d)
+    if not certified:
+        _slim_semimodular_tables(d)
+    return alpha
+
+
+def _rebuilt(d):
+    """(alpha, certified): the diagram :func:`to_quasiplanar` draws from
+    ``d``, and whether ``d`` is a slim semimodular lattice diagram.
+
+    The verdict needs no lattice tables: every pair lattice is slim
+    semimodular, so ``d`` is one if alpha's pair lattice is similar to it
+    (sound), and by the paper's bijection every slim semimodular ``d`` is
+    (complete).  That pair lattice, one element per element above the
+    bottom and per left pair, is built only if the walk of
+    ``Diagram.left_pairs``, cut off past ``d.n``, counts ``d.n`` of them.
     """
     keep = sorted(_mir(d) | {d.top})
     # the fresh bottom's key sorts first in both sweeps
@@ -303,9 +315,7 @@ def to_quasiplanar(d):
         if size > d.n:
             break
         passed.insert(i, alpha.rho_pos[y])
-    if size != d.n or not similar(lattice_from_pairs(alpha), d):
-        _slim_semimodular_tables(d)
-    return alpha
+    return alpha, size == d.n and similar(lattice_from_pairs(alpha), d)
 
 
 def _chain_members(n, chain, what):

@@ -218,6 +218,36 @@ def test_roundtrip_checks_a_lattice_once(monkeypatch, capsys):
     assert calls == ["lattice_from_pairs"]
 
 
+def _two_chains(k):
+    """A bottom, two k-element chains side by side, and a top."""
+    return qp.Diagram(
+        range(2 * k + 2), (0, *range(k + 1, 2 * k + 1), *range(1, k + 1), 2 * k + 1)
+    )
+
+
+@pytest.mark.parametrize("d, message", [
+    (qp.three_atom_diamond(), "join-irreducibles contain a 3-element antichain"),
+    (_two_chains(30), "lattice is not semimodular"),
+])
+def test_roundtrip_auto_takes_the_verdict_without_tables(
+    monkeypatch, capsys, tmp_path, d, message
+):
+    # auto picks the diagram direction from the certificate alone; only a
+    # refusal shown to the user, under --direction lattice, is named
+    built = []
+    compute = lattice._compute_tables
+    monkeypatch.setattr(
+        lattice, "_compute_tables", lambda d: built.append(d) or compute(d)
+    )
+    path = tmp_path / "lattice.json"
+    path.write_text(qp.serialize(d))
+    assert cli.main(["roundtrip", str(path)]) == 0
+    assert capsys.readouterr().out == '{"mode":"diagram","similar":true}\n'
+    assert built == []
+    assert cli.main(["roundtrip", "--direction", "lattice", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"NotSlimSemimodular: {message}\n")
+
+
 def test_one_parser_serves_every_call_in_a_process(monkeypatch, capsys, q5_file):
     calls = [
         ["canon", q5_file],

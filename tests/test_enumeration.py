@@ -168,15 +168,14 @@ def test_verify_suite_reports_clean_sizes():
 def test_verify_suite_builds_each_pair_list_and_peeling_where_it_is_read(monkeypatch):
     # per diagram: one weak pair list each for the filter family, β1, β2,
     # the pair/filter maps, the antimatroid, the certificates of the two
-    # rebuilds, the filter lattice of α, and the certificates that gate
-    # boundary_chains and supports on β2; the peelings for the family only
+    # rebuilds and the filter lattice of α; the peelings for the family only
     calls = []
     for name in ("weak_left_pairs", "_peel"):
         real = getattr(transform, name)
         counted = lambda *a, real=real, name=name, **k: calls.append(name) or real(*a, **k)
         monkeypatch.setattr(transform, name, counted)
     assert qp.verify_suite(5).passed
-    assert (calls.count("weak_left_pairs"), calls.count("_peel")) == (6 * 10, 6 * 2)
+    assert (calls.count("weak_left_pairs"), calls.count("_peel")) == (6 * 8, 6 * 2)
 
 
 def test_verify_suite_carries_failures_as_data(monkeypatch):
@@ -262,7 +261,7 @@ def test_equinumerous_law_holds_the_family_to_the_definition(monkeypatch):
 def test_position_laws_name_the_first_misplaced_element(monkeypatch):
     # swap the images of two incomparable elements: the drawing moves,
     # similarity and boundedness do not
-    real_maps, real_supports = enumeration.pair_filter_maps, enumeration.supports
+    real_maps, real_supports = enumeration.pair_filter_maps, enumeration._supports
 
     def forged_maps(d):
         f, to_pair = real_maps(d)
@@ -283,7 +282,7 @@ def test_position_laws_name_the_first_misplaced_element(monkeypatch):
         return sup
 
     monkeypatch.setattr(enumeration, "pair_filter_maps", forged_maps)
-    monkeypatch.setattr(enumeration, "supports", forged_supports)
+    monkeypatch.setattr(enumeration, "_supports", forged_supports)
     law = {r.name: r for r in qp.verify_suite(5).results}
     assert "closure map moves the pair lattice off filter" in (
         law["pair and filter lattices agree"].witness

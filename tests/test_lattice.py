@@ -269,6 +269,37 @@ def test_tables_are_built_once_per_diagram_instance(monkeypatch):
     assert len(built) == 4
 
 
+def test_boundary_chains_builds_the_tables_once_and_names_nothing(monkeypatch):
+    # the certificate's verdict gates the walk; a refused d builds its
+    # tables once, so a non-lattice fails as lattice_tables does
+    built = []
+    compute = lattice._compute_tables
+    monkeypatch.setattr(
+        lattice, "_compute_tables", lambda d: built.append(d) or compute(d)
+    )
+    with pytest.raises(qp.NotALattice) as exc:
+        qp.boundary_chains(qp.hexagon())
+    assert len(built) == 1
+    with pytest.raises(qp.NotALattice) as by_tables:
+        qp.lattice_tables(qp.hexagon())
+    assert (str(exc.value), exc.value.witness) == (
+        str(by_tables.value), by_tables.value.witness
+    )
+    built.clear()
+    m3 = qp.three_atom_diamond()
+    assert qp.boundary_chains(m3) == ((0, 1, 4), (0, 3, 4)) and len(built) == 1
+
+
+def test_verify_suite_certifies_each_lattice_once(monkeypatch):
+    # per diagram, one certificate each for β1 and β2 (the two rebuilds);
+    # the chains and supports of β2 read it past the gate
+    calls = []
+    real = transform._rebuilt
+    monkeypatch.setattr(transform, "_rebuilt", lambda d: calls.append(d) or real(d))
+    assert qp.verify_suite(5).passed
+    assert len(calls) == 6 * 2
+
+
 def test_diagram_from_chains_draws_the_order_and_the_chains():
     # every pair of maximal chains covering the join-irreducibles draws the
     # given order with exactly those chains as its boundary
@@ -295,7 +326,7 @@ def test_self_checks_raise_law_violations(monkeypatch):
     # and a right chain that misses the right supports, with the message of
     # each check
     real = enumeration._slim_semimodular_tables
-    chains = enumeration.boundary_chains
+    chains = enumeration._cover_walks
     for name, forged, message in (
         ("_slim_semimodular_tables",
          lambda d: replace(real(d), join=real(d).meet),
@@ -303,7 +334,7 @@ def test_self_checks_raise_law_violations(monkeypatch):
         ("_slim_semimodular_tables",
          lambda d: replace(real(d), meet=real(d).join),
          "element is not the meet of its dual supports"),
-        ("boundary_chains",
+        ("_cover_walks",
          lambda d: (chains(d)[0],) * 2,
          "perm (1, 3, 2): support of element 2 is off its boundary chain"),
     ):
