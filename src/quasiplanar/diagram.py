@@ -385,68 +385,71 @@ def validate(n, covers, left=()):
     pointer of its pair or list, if any, in ``location``.  The order is read
     once, by :func:`_order`.  Both sweep positions come from counts: x sits
     at n - 1 minus the number of elements after it, which are those above
-    x and, counted from the left pairs at x, those x is left of (in the
-    left-to-right sweep) or right of (in the other).  The result is
+    x and, counted over the distinct left pairs at x, those x is left of
+    (in the left-to-right sweep) or right of (in the other).  The result is
     accepted when it is a diagram in which every input order pair lies
-    below and every left pair to the left, with no left pair repeated; the
-    counts then force its order and left pairs to be the input's.  Other
-    input goes on to one left mask per element, which names the first
-    failing check.
+    below and every left pair to the left; the counts then force its order
+    and left pairs to be the input's.  That is the one accepting path:
+    other input goes on to one left mask per element, which only names the
+    first failing check.
 
     n = 1 is allowed: the one-element diagram is the filter lattice of the
     two-element chain and turns up as a construction result.
     """
-    return _diagram_of(n, *_checked(n, covers, left))
+    cover_list, left_list = _checked(n, covers, left)
+    return _diagram_of(n, cover_list, left_list, _order(n, cover_list))
 
 
-def _diagram_of(n, cover_list, left_list):
-    """:func:`validate` after its input checks: each pair is in 0..n-1.
+def _diagram_of(n, cover_list, left_list, up):
+    """:func:`validate` past its input checks, on ``up = _order(n, cover_list)``.
 
     The positions come from degree counts and are certified against the
     input, so accepted input builds no left masks; anything not certified
-    goes to :func:`_diagram_by_masks`, which names the failure.
+    goes to :func:`_refusal`, which names the failure.
     """
-    up = _order(n, cover_list)
     above = [m.bit_count() for m in up]
+    # the list unless it repeats a pair: read in a set's order, validate took 1.6x as long
+    distinct = set(left_list)
+    lefts = left_list if len(distinct) == len(left_list) else distinct
     outs, ins = [0] * n, [0] * n
-    for a, b in left_list:
+    for a, b in lefts:
         outs[a] += 1
         ins[b] += 1
+    lam = [n - above[x] - outs[x] for x in range(n)]
     try:
-        d = Diagram(
-            [n - above[x] - outs[x] for x in range(n)],
-            [n - above[x] - ins[x] for x in range(n)],
-        )
+        d = Diagram(lam, [n - above[x] - ins[x] for x in range(n)])
     except (NotLinearizable, NotBounded):
         d = None
-    if d is not None and _certified(d, cover_list, left_list):
+    if d is not None and _certified(d, cover_list, lefts):
         return d
-    return _diagram_by_masks(n, up, above, left_list)
+    _refusal(n, up, left_list, lam)
 
 
-def _certified(d, cover_list, left_list):
+def _certified(d, cover_list, lefts):
     """Whether ``d`` is the diagram of the input its positions came from.
 
-    The loops put the input's order inside d's and the left list inside
-    d's left pairs.  The positions count the pairs after each element, so
-    d has as many comparable and left pairs in all as the input: with no
-    left pair repeated, d's are exactly the input's.
+    The loops put the input's order inside d's and the distinct left pairs
+    ``lefts`` inside d's left pairs.  The positions count the elements above
+    each element and the distinct left pairs at it, so d has exactly as many
+    comparable and left pairs as the input: d's are exactly the input's.
     """
     lam, rho = d.lam_pos, d.rho_pos
     for a, b in cover_list:
         if not (lam[a] < lam[b] and rho[a] < rho[b]):
             return False
-    for a, b in left_list:
+    for a, b in lefts:
         if not (lam[a] < lam[b] and rho[a] > rho[b]):
             return False
-    return len(set(left_list)) == len(left_list)
+    return True
 
 
-def _diagram_by_masks(n, up, above, left_list):
-    """The rest of :func:`_diagram_of` on input its certificate refused.
+def _refusal(n, up, left_list, lam):
+    """Raise what is wrong with input that :func:`_certified` refused.
 
     Builds a left and a right mask per element to name the first failing
-    check; a complete left list with a pair repeated passes here.
+    check.  Past them every pair is related once, so the two sweeps' counted
+    positions (``lam`` and the other) score two tournaments, each transitive
+    iff its scores are distinct: both being permutations would have passed.
     """
     lft, rgt = [0] * n, [0] * n
     for i, (a, b) in enumerate(left_list):
@@ -460,7 +463,7 @@ def _diagram_by_masks(n, up, above, left_list):
         lft[a] |= 1 << b
         rgt[b] |= 1 << a
     # each comparable pair is counted once, at its lower end (up[x] holds x)
-    if sum(above) - n + sum(m.bit_count() for m in lft) != n * (n - 1) // 2:
+    if sum(m.bit_count() for m in (*up, *lft)) - n != n * (n - 1) // 2:
         for x in range(n):
             # later elements neither above x nor oriented against it
             for y in bits(~(up[x] | lft[x] | rgt[x]) & ((1 << n) - (2 << x))):
@@ -468,16 +471,8 @@ def _diagram_by_masks(n, up, above, left_list):
                     raise LeftIncomplete(
                         f"incomparable pair ({x}, {y}) carries no orientation", "/left"
                     )
-    # Every pair is now related once, so a sweep is linear iff the positions
-    # n - 1 - |after x| form a permutation; after x come the elements above
-    # x and those x is left of (left to right) or right of (right to left).
-    sweeps = []
-    for side, what in ((lft, "left"), (rgt, "inverted left")):
-        pos = [n - above[x] - side[x].bit_count() for x in range(n)]
-        if sorted(pos) != list(range(n)):
-            raise NotLinearizable(f"order + {what} is not a linear order", "/left")
-        sweeps.append(pos)
-    return Diagram(*sweeps)
+    what = "left" if sorted(lam) != list(range(n)) else "inverted left"
+    raise NotLinearizable(f"order + {what} is not a linear order", "/left")
 
 
 def revalidate(d):
@@ -616,10 +611,14 @@ def order_dimension_le2(n, covers):
     pairs out of the free ones.  Either every pair ends up oriented, or a
     class forces some pair both ways and the dimension exceeds two
     (Golumbic's TRO theorem).  No search: each arc is grown once, in O(n)
-    steps.
+    steps.  The order is read once, and the diagram is placed on it.
     """
     cover_list, _ = _checked(n, covers)
-    up = _order(n, cover_list)
+    return _oriented(n, cover_list, _order(n, cover_list))
+
+
+def _oriented(n, cover_list, up):
+    """:func:`order_dimension_le2` past its input checks, on the order ``up``."""
     dn = [0] * n
     for x in range(n):
         for y in bits(up[x]):
@@ -645,4 +644,4 @@ def order_dimension_le2(n, covers):
                 free[a] &= ~(1 << b)
                 free[b] &= ~(1 << a)
             left += arcs
-    return _diagram_of(n, cover_list, left)
+    return _diagram_of(n, cover_list, left, up)

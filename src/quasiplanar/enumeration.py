@@ -37,7 +37,6 @@ from .lattice import (
     _supports,
     irredundant_meet_representations,
     is_join_distributive,
-    lattice_isomorphic,
 )
 from .transform import (
     _ground_mask,
@@ -47,6 +46,7 @@ from .transform import (
     lattice_from_filters,
     lattice_from_filters_labeled,
     lattice_from_pairs_labeled,
+    lattice_isomorphic,
     meet_irreducible_filters,
     min_between,
     pair_filter_maps,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .diagram import _diagram_of, _shown, validate
+from .diagram import _diagram_of, _order, _shown, validate
 from .errors import DiagramError, MalformedDocument
 
 _KEYS = ("n", "covers", "left", "name")
@@ -110,7 +110,7 @@ def parse(text):
     """
     doc = parse_document(text)
     try:
-        return _diagram_of(doc.n, doc.covers, doc.left)
+        return _diagram_of(doc.n, doc.covers, doc.left, _order(doc.n, doc.covers))
     except DiagramError as e:
         if e.location:
             raise type(e)(f"{e.location}: {e}", e.location) from None
@@ -169,7 +169,7 @@ def render_dot(d, name=None):
     for x in range(d.n):
         cx, cy = coords[x]
         lines.append(f'  v{x} [label="{x}", pos="{cx},{cy}!"];')
-    for a, b in sorted(d.cover_pairs()):
+    for a, b in d.cover_pairs():
         lines.append(f"  v{a} -> v{b};")
     lines.append("}")
     return "\n".join(lines) + "\n"

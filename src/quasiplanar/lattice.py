@@ -1,8 +1,11 @@
 """Lattice structure on top of diagrams.
 
 Operation tables, the structural predicates (semimodular, slim,
-join-distributive), boundary chains and supports, and isomorphism of the
-underlying lattices.
+join-distributive) with the table verdict naming why a diagram is not slim
+semimodular, the boundary walks and supports read past the gate, meet
+representations and intervals.  The gate and the functions that go through
+it live with its certificate in :mod:`quasiplanar.transform`, which imports
+this module, never the other way round.
 
 Throughout, a "lattice diagram" is a valid diagram whose order happens to
 be a lattice; the slim semimodular ones are exactly the diagrams produced
@@ -20,8 +23,6 @@ from .diagram import (
     _minimal_in,
     bits,
     canonical_relabel,
-    mirror,
-    similar,
 )
 from .errors import NotALattice, NotSlimSemimodular
 
@@ -79,20 +80,6 @@ def _mir(d):
 def _nar(d):
     full = (1 << d.n) - 1
     return frozenset(x for x in range(d.n) if d.up[x] | d.dn[x] == full)
-
-
-def boundary_chains(d):
-    """The leftmost and rightmost maximal chains of a lattice diagram.
-
-    Walk up from the bottom, always taking the leftmost (resp. rightmost)
-    upper cover.  The left chain C satisfies: every element off C that is
-    incomparable to some member of C lies to its right; dually for the
-    right chain.  Only a ``d`` that :func:`_certified` refuses builds
-    :func:`lattice_tables`, once, whose NotALattice names a non-lattice.
-    """
-    if not _certified(d):
-        lattice_tables(d)
-    return _cover_walks(d)
 
 
 def _cover_walks(d):
@@ -217,21 +204,6 @@ def is_join_distributive(d):
     return True
 
 
-def _certified(d):
-    """Whether the certificate of ``to_quasiplanar`` accepts d; builds no tables."""
-    from .transform import _rebuilt  # at call time: transform imports this module
-
-    return _rebuilt(d)[1]
-
-
-def require_slim_semimodular(d):
-    """Raise NotSlimSemimodular unless d is a slim semimodular lattice
-    diagram; return None.  The one gate: :func:`_certified` decides, and
-    the tables are built only to name a rejection."""
-    if not _certified(d):
-        _slim_semimodular_tables(d)
-
-
 def _slim_semimodular_tables(d):
     """The tables of d, or NotSlimSemimodular naming what fails: the m²
     definition that names every rejection, and the certificate's oracle."""
@@ -266,20 +238,6 @@ class SupportData:
 def _heights(up, chain):
     """How many members of ``chain`` lie at or below each element, by ``up``."""
     return [sum(up[c] >> x & 1 for c in chain) for x in range(len(up))]
-
-
-def supports(d):
-    """Compute the four support maps of a slim semimodular lattice diagram.
-
-    Past :func:`require_slim_semimodular`, no tables: x's support on a
-    boundary chain is the member at x's height on it, the height
-    :func:`~quasiplanar.transform.diagram_from_chains` draws from.  That
-    every element is the join of its supports and every non-top element
-    the meet of its dual supports is part of the law "supports compose
-    every element", which reads :func:`_supports`, the body past the gate.
-    """
-    require_slim_semimodular(d)
-    return _supports(d)
 
 
 def _supports(d):
@@ -326,25 +284,3 @@ def interval_subdiagram(d, lo, hi):
     """The diagram induced on the interval [lo, hi], relabeled from 0."""
     members = sorted(bits(d.up[lo] & d.dn[hi]))
     return _dominance_diagram([(d.lam_pos[x], d.rho_pos[x]) for x in members])
-
-
-def lattice_isomorphic(d1, d2):
-    """Whether two slim semimodular lattice diagrams have isomorphic lattices.
-
-    Past :func:`require_slim_semimodular`, no tables: the narrows of each
-    diagram form a chain through every diagram of the same lattice, and the
-    lattices are isomorphic exactly when the interval blocks between
-    consecutive narrows match up to similarity or mirror similarity.
-    """
-    require_slim_semimodular(d1)
-    require_slim_semimodular(d2)
-    nar1 = sorted(_nar(d1), key=lambda x: d1.dn[x].bit_count())
-    nar2 = sorted(_nar(d2), key=lambda x: d2.dn[x].bit_count())
-    if len(nar1) != len(nar2):
-        return False
-    for (a1, b1), (a2, b2) in zip(zip(nar1, nar1[1:]), zip(nar2, nar2[1:])):
-        block1 = interval_subdiagram(d1, a1, b1)
-        block2 = interval_subdiagram(d2, a2, b2)
-        if not (similar(block1, block2) or similar(block1, mirror(block2))):
-            return False
-    return True

@@ -9,7 +9,9 @@ set of *weak left pairs* (x, y) with x equal to or left of y, ordered
 componentwise along the two sweeps.  Both constructions are built here,
 together with the reciprocal maps between pairs and filters, the inverse
 construction recovering Q from a slim semimodular lattice diagram or from
-its order and boundary chains, and the antimatroid of filter complements.
+its order and boundary chains, the slim-semimodular gate that the inverse's
+certificate decides with the functions that go through it (boundary chains,
+supports, lattice isomorphism), and the antimatroid of filter complements.
 
 The filters are never searched for: each weak left pair (x, y) yields one,
 the up-closure of the elements weakly between x and y, and every filter
@@ -32,9 +34,10 @@ from .diagram import (
     _maximal_in,
     _minimal_in,
     _order,
+    _oriented,
     _shown,
     bits,
-    order_dimension_le2,
+    mirror,
     similar,
 )
 from .errors import (
@@ -44,7 +47,10 @@ from .errors import (
     NotBounded,
     NotSlimSemimodular,
 )
-from .lattice import _heights, _jir, _mir, _slim_semimodular_tables, require_slim_semimodular
+from .lattice import (
+    _cover_walks, _heights, _jir, _mir, _nar, _slim_semimodular_tables, _supports,
+    interval_subdiagram, lattice_tables,
+)
 
 WeakLeftPair = tuple[int, int]
 
@@ -318,6 +324,64 @@ def _rebuilt(d):
     return alpha, size == d.n and similar(lattice_from_pairs(alpha), d)
 
 
+def require_slim_semimodular(d):
+    """Raise NotSlimSemimodular unless d is a slim semimodular lattice
+    diagram; return None.  The one gate: :func:`_rebuilt`'s certificate
+    decides, and the tables are built only to name a rejection."""
+    if not _rebuilt(d)[1]:
+        _slim_semimodular_tables(d)
+
+
+def boundary_chains(d):
+    """The leftmost and rightmost maximal chains of a lattice diagram.
+
+    Walk up from the bottom, always taking the leftmost (resp. rightmost)
+    upper cover.  The left chain C satisfies: every element off C that is
+    incomparable to some member of C lies to its right; dually for the
+    right chain.  Only a ``d`` that :func:`_rebuilt` refuses builds the
+    lattice tables, once, whose NotALattice names a non-lattice.
+    """
+    if not _rebuilt(d)[1]:
+        lattice_tables(d)
+    return _cover_walks(d)
+
+
+def supports(d):
+    """Compute the four support maps of a slim semimodular lattice diagram.
+
+    Past :func:`require_slim_semimodular`, no tables: x's support on a
+    boundary chain is the member at x's height on it, the height
+    :func:`diagram_from_chains` draws from.  That every element is the
+    join of its supports and every non-top element the meet of its dual
+    supports is part of the law "supports compose every element", which
+    reads :func:`~quasiplanar.lattice._supports`, the body past the gate.
+    """
+    require_slim_semimodular(d)
+    return _supports(d)
+
+
+def lattice_isomorphic(d1, d2):
+    """Whether two slim semimodular lattice diagrams have isomorphic lattices.
+
+    Past :func:`require_slim_semimodular`, no tables: the narrows of each
+    diagram form a chain through every diagram of the same lattice, and the
+    lattices are isomorphic exactly when the interval blocks between
+    consecutive narrows match up to similarity or mirror similarity.
+    """
+    require_slim_semimodular(d1)
+    require_slim_semimodular(d2)
+    nar1 = sorted(_nar(d1), key=lambda x: d1.dn[x].bit_count())
+    nar2 = sorted(_nar(d2), key=lambda x: d2.dn[x].bit_count())
+    if len(nar1) != len(nar2):
+        return False
+    for (a1, b1), (a2, b2) in zip(zip(nar1, nar1[1:]), zip(nar2, nar2[1:])):
+        block1 = interval_subdiagram(d1, a1, b1)
+        block2 = interval_subdiagram(d2, a2, b2)
+        if not (similar(block1, block2) or similar(block1, mirror(block2))):
+            return False
+    return True
+
+
 def _chain_members(n, chain, what):
     """``chain`` as a tuple of elements 0..n-1, else ValueError."""
     chain = tuple(chain)
@@ -340,7 +404,8 @@ def diagram_from_chains(n, covers, left_chain, right_chain):
     element; the orientation is then forced: x is left of y exactly when x
     is strictly higher on the left chain and lower on the right one, so the
     diagram is drawn from those heights and certified like the input of
-    :func:`to_quasiplanar`.  The solver runs only on an order they miss.
+    :func:`to_quasiplanar`.  The order is read once; the solver orients
+    it only when the heights miss it, and the certificate still gates it.
     """
     cover_list, _ = _checked(n, covers)
     try:
@@ -351,7 +416,7 @@ def diagram_from_chains(n, covers, left_chain, right_chain):
     right_chain = _chain_members(n, right_chain, "right_chain")
     drawn = _dominance_diagram([*zip(_heights(up, right_chain), _heights(up, left_chain))])
     # every check below reads the order only, so any orientation gives its verdict
-    oriented = drawn if list(drawn.up) == up else order_dimension_le2(n, cover_list)
+    oriented = drawn if list(drawn.up) == up else _oriented(n, cover_list, up)
     if oriented is None:
         raise NotSlimSemimodular("order dimension exceeds two")
     require_slim_semimodular(oriented)

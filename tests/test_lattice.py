@@ -182,7 +182,7 @@ def test_diagram_from_chains_names_a_member_that_is_no_element():
 
 def test_diagram_from_chains_draws_without_the_solver_or_tables(monkeypatch):
     calls = []
-    for module, name in ((transform, "order_dimension_le2"),
+    for module, name in ((transform, "_oriented"),
                          (lattice, "_compute_tables")):
         real = getattr(module, name)
         monkeypatch.setattr(
@@ -197,7 +197,7 @@ def test_diagram_from_chains_draws_without_the_solver_or_tables(monkeypatch):
     n, covers = qp.boolean_cube_covers()
     with pytest.raises(qp.NotSlimSemimodular, match="order dimension exceeds two"):
         qp.diagram_from_chains(n, covers, (0, 1, 3, 7), (0, 4, 6, 7))
-    assert calls == ["order_dimension_le2"]
+    assert calls == ["_oriented"]
 
 
 def test_diagram_from_chains_rebuilds_a_547_element_lattice_within_a_second():

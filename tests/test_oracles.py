@@ -990,7 +990,7 @@ def _closed_covers(d):
 
 def test_validate_builds_masks_only_to_name_a_rejection(monkeypatch):
     fallbacks = []
-    _counting(monkeypatch, diagram, "_diagram_by_masks", fallbacks)
+    _counting(monkeypatch, diagram, "_refusal", fallbacks)
     for d in _relabelled(7):
         for covers in (d.cover_pairs(), _closed_covers(d)):
             text = json.dumps({"n": d.n, "covers": covers, "left": d.left_pairs()})
@@ -1001,8 +1001,8 @@ def test_validate_builds_masks_only_to_name_a_rejection(monkeypatch):
     # the three atoms of M3, each left of the next round a cycle
     m3 = [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)]
     cycle = [(1, 2), (2, 3), (3, 1)]
-    # each defect the left list can carry goes through the mask loop once,
-    # and so does a complete list with a pair repeated, which it accepts
+    # each defect the left list can carry goes through the namer once; a
+    # complete list with a pair repeated is certified and never reaches it
     for n, cs, ls, kind in (
         (d.n, covers, left + covers[:1], LeftOnComparable),
         (d.n, covers, left + [left[0][::-1]], NotLinearizable),
@@ -1014,7 +1014,70 @@ def test_validate_builds_masks_only_to_name_a_rejection(monkeypatch):
         fallbacks.clear()
         got = _outcome(qp.validate, n, cs, ls)
         assert got[0] is kind if kind else got == (d.lam_pos, d.rho_pos)
-        assert fallbacks == ["_diagram_by_masks"]
+        assert fallbacks == (["_refusal"] if kind else [])
+
+
+def test_only_refused_input_reaches_the_namer_and_it_always_raises(monkeypatch):
+    # the certificate is the one accepting path: the namer runs on every
+    # refusal and always raises, and valid input, a complete list with a
+    # pair repeated included, never reaches it
+    real, reached = diagram._refusal, []
+
+    def namer(*args):
+        reached.append(args)
+        real(*args)
+        raise AssertionError("the namer returned")
+
+    monkeypatch.setattr(diagram, "_refusal", namer)
+    rng, kinds = random.Random(5), set()
+    for d in _relabelled(6):
+        covers, left = list(d.cover_pairs()), list(d.left_pairs())
+        lists = [left, left[::-1], left + covers[:1], [(d.top, d.top)] + left]
+        if left:
+            i = rng.randrange(len(left))
+            kept, flipped = left[:i] + left[i + 1:], left[i][::-1]
+            lists += [left + left[i:i + 1], kept, kept + kept[:1],
+                      left + [flipped], kept + [flipped]]
+        for ls in lists:
+            want = _outcome(_validate_reference, d.n, covers, ls)
+            reached.clear()
+            got = _outcome(validate, d.n, covers, ls)
+            assert got == want and len(reached) == isinstance(want[0], type)
+            if want[0] is NotLinearizable:
+                kinds.add(want[1] if want[1].startswith("order") else "both ways")
+            else:
+                kinds.add(want[0] if isinstance(want[0], type) else Diagram)
+    assert kinds == {
+        Diagram, LeftOnComparable, LeftIncomplete, "both ways",
+        "order + left is not a linear order",
+        "order + inverted left is not a linear order",
+    }
+
+
+def test_each_call_reads_its_order_once(monkeypatch):
+    reads = []
+
+    def counted(*args):
+        reads.append(args[0])
+        return _order(*args)
+
+    monkeypatch.setattr(diagram, "_order", counted)
+    monkeypatch.setattr(transform, "_order", counted)
+    d = qp.lattice_from_filters(qp.from_canonical((3, 1, 4, 2)))
+    covers, (lc, rc) = d.cover_pairs(), qp.boundary_chains(d)
+    for call in (
+        lambda: qp.validate(d.n, covers, d.left_pairs()),
+        lambda: qp.order_dimension_le2(d.n, covers),
+        lambda: qp.diagram_from_chains(d.n, covers, lc, rc),
+        # chains the heights do not draw the order from: the solver orients it
+        lambda: qp.diagram_from_chains(d.n, covers, lc, lc),
+    ):
+        reads.clear()
+        try:
+            call()
+        except qp.ChainsDoNotCoverJir:
+            pass
+        assert reads == [d.n]
 
 
 # -- _parse_pairs against the loop that checked each component in turn -----
