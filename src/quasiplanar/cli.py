@@ -42,33 +42,24 @@ def _emit(data):
     print(_COMPACT.encode(data))
 
 
-def _cmd_validate(args):
-    d = parse(_read(args.file))
+def _cmd_validate(d, args):
     print(serialize(d))
-    return 0
 
 
-def _cmd_canon(args):
-    d = parse(_read(args.file))
+def _cmd_canon(d, args):
     _emit({"n": d.n, "canonical": list(canonical_form(d))})
-    return 0
 
 
-def _cmd_alpha(args):
-    d = parse(_read(args.file))
+def _cmd_alpha(d, args):
     print(serialize(canonical_relabel(to_quasiplanar(d))))
-    return 0
 
 
-def _cmd_beta(args):
-    d = parse(_read(args.file))
+def _cmd_beta(d, args):
     build = lattice_from_pairs if args.variant == 1 else lattice_from_filters
     print(serialize(canonical_relabel(build(d))))
-    return 0
 
 
-def _cmd_roundtrip(args):
-    d = parse(_read(args.file))
+def _cmd_roundtrip(d, args):
     mode = args.direction
     if mode == "lattice":
         alpha = to_quasiplanar(d)  # a refusal is shown, so it is named
@@ -82,7 +73,7 @@ def _cmd_roundtrip(args):
         back = to_quasiplanar(lattice_from_filters(d))
     ok = similar(back, d)
     _emit({"mode": mode, "similar": ok})
-    return 0 if ok else 2
+    return ok
 
 
 def _cmd_enumerate(args):
@@ -90,7 +81,7 @@ def _cmd_enumerate(args):
     if args.out is None:
         for text in docs:
             print(text)
-        return 0
+        return
     os.makedirs(args.out, exist_ok=True)
     total = expected_count(args.size)
     width = len(str(max(total - 1, 0)))
@@ -101,14 +92,13 @@ def _cmd_enumerate(args):
             f.write(text + "\n")
         count += 1
     _emit({"size": args.size, "count": count, "out": args.out})
-    return 0
 
 
 def _cmd_count(args):
     count = count_quasiplanar(args.size)
     expected = expected_count(args.size)
     _emit({"size": args.size, "count": count, "expected": expected})
-    return 0 if count == expected else 2
+    return count == expected
 
 
 def _cmd_verify(args):
@@ -126,13 +116,28 @@ def _cmd_verify(args):
         }
     )
     print(f"elapsed {report.elapsed:.2f}s", file=sys.stderr)
-    return 0 if report.passed else 2
+    return report.passed
 
 
-def _cmd_render(args):
-    d = parse(_read(args.file))
+def _cmd_render(d, args):
     sys.stdout.write(render_dot(d))
-    return 0
+
+
+# one row per subcommand, in help order; a handler of a sized subcommand
+# takes the arguments, any other the parsed document and the arguments,
+# and one that verifies returns whether it held
+_COMMANDS = (
+    ("validate", "check a document and echo it canonically", _cmd_validate),
+    ("canon", "print size and canonical permutation", _cmd_canon),
+    ("alpha", "rebuild the diagram whose filter lattice the input draws", _cmd_alpha),
+    ("beta", "build the filter (or pair) lattice diagram", _cmd_beta),
+    ("roundtrip", "run the construction out and back, reporting similarity", _cmd_roundtrip),
+    ("enumerate", "emit every diagram of a size", _cmd_enumerate),
+    ("count", "count diagrams of a size by enumeration", _cmd_count),
+    ("verify", "run the law suite over a whole size", _cmd_verify),
+    ("render", "render a document for Graphviz", _cmd_render),
+)
+_SIZED = ("enumerate", "count", "verify")
 
 
 @functools.cache
@@ -145,39 +150,21 @@ def _build_parser():
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p = sub.add_parser("validate", help="check a document and echo it canonically")
-    p.add_argument("file", help="path to a JSON document, or - for stdin")
-    p.set_defaults(fn=_cmd_validate)
-
-    p = sub.add_parser("canon", help="print size and canonical permutation")
-    p.add_argument("file", help="path to a JSON document, or - for stdin")
-    p.set_defaults(fn=_cmd_canon)
-
-    p = sub.add_parser(
-        "alpha",
-        help="rebuild the diagram whose filter lattice the input draws",
-    )
-    p.add_argument("file", help="path to a JSON document, or - for stdin")
-    p.set_defaults(fn=_cmd_alpha)
-
-    p = sub.add_parser("beta", help="build the filter (or pair) lattice diagram")
-    p.add_argument("file", help="path to a JSON document, or - for stdin")
-    p.add_argument(
+    for name, summary, fn in _COMMANDS:
+        p = sub.add_parser(name, help=summary)
+        if name in _SIZED:
+            p.add_argument("--size", type=int, required=True)
+        else:
+            p.add_argument("file", help="path to a JSON document, or - for stdin")
+        p.set_defaults(fn=fn)
+    sub.choices["beta"].add_argument(
         "--variant",
         type=int,
         choices=(1, 2),
         default=2,
         help="1 builds from weak left pairs, 2 from filters (default)",
     )
-    p.set_defaults(fn=_cmd_beta)
-
-    p = sub.add_parser(
-        "roundtrip",
-        help="run the construction out and back, reporting similarity",
-    )
-    p.add_argument("file", help="path to a JSON document, or - for stdin")
-    p.add_argument(
+    sub.choices["roundtrip"].add_argument(
         "--direction",
         choices=("auto", "lattice", "diagram"),
         default="auto",
@@ -186,36 +173,24 @@ def _build_parser():
             "the filter lattice then rebuild; auto picks by structure"
         ),
     )
-    p.set_defaults(fn=_cmd_roundtrip)
-
-    p = sub.add_parser("enumerate", help="emit every diagram of a size")
-    p.add_argument("--size", type=int, required=True)
-    p.add_argument("--out", help="directory for one file per diagram")
-    p.set_defaults(fn=_cmd_enumerate)
-
-    p = sub.add_parser("count", help="count diagrams of a size by enumeration")
-    p.add_argument("--size", type=int, required=True)
-    p.set_defaults(fn=_cmd_count)
-
-    p = sub.add_parser("verify", help="run the law suite over a whole size")
-    p.add_argument("--size", type=int, required=True)
-    p.set_defaults(fn=_cmd_verify)
-
-    p = sub.add_parser("render", help="render a document for Graphviz")
-    p.add_argument("file", help="path to a JSON document, or - for stdin")
-    p.add_argument("--format", choices=("dot",), default="dot")
-    p.set_defaults(fn=_cmd_render)
-
+    sub.choices["enumerate"].add_argument(
+        "--out", help="directory for one file per diagram"
+    )
+    sub.choices["render"].add_argument("--format", choices=("dot",), default="dot")
     return parser
 
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        if "file" in args:
+            held = args.fn(parse(_read(args.file)), args)
+        else:
+            held = args.fn(args)
     except (ValueError, OSError) as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return 1
+    return 2 if held is False else 0
 
 
 if __name__ == "__main__":

@@ -525,12 +525,22 @@ def mirror(d):
 
 
 def relabel(d, new_of_old):
-    """Apply a bijection ``old index -> new index`` to a diagram."""
+    """Apply a bijection ``old index -> new index`` to a diagram.
+
+    Raises ValueError unless ``new_of_old`` lists the integers 0..n-1, each
+    once.
+    """
+    try:
+        new = list(map(operator.index, new_of_old))
+    except TypeError:
+        new = None
+    if new is None or sorted(new) != list(range(d.n)):
+        raise ValueError(f"new_of_old must permute the integers 0..{d.n - 1}")
     lam = [0] * d.n
     rho = [0] * d.n
-    for x in range(d.n):
-        lam[new_of_old[x]] = d.lam_pos[x]
-        rho[new_of_old[x]] = d.rho_pos[x]
+    for x, y in enumerate(new):
+        lam[y] = d.lam_pos[x]
+        rho[y] = d.rho_pos[x]
     return Diagram(lam, rho)
 
 

@@ -743,6 +743,9 @@ _CHECKS = (
 )
 
 
+_DISSIMILAR = "filter lattices are pairwise dissimilar"
+
+
 def check_names():
     """The stable names of the per-diagram laws, in run order."""
     return tuple(name for name, _ in _CHECKS)
@@ -757,12 +760,18 @@ def verify_suite(size):
     distinct diagrams are pairwise dissimilar.
     """
     start = time.perf_counter()
-    first = {name: "" for name, _ in _CHECKS}
-    extra = {name: 0 for name, _ in _CHECKS}
+    # law name -> [first witness, how many more failures followed]
+    ledger = {name: ["", 0] for name in (*check_names(), _DISSIMILAR)}
+
+    def fail(name, witness):
+        entry = ledger[name]
+        if entry[0]:
+            entry[1] += 1
+        else:
+            entry[0] = witness
+
     count = 0
-    lattice_keys = {}
-    clash = ""
-    clashes = 0
+    perm_of_lattice = {}
     for q in enumerate_quasiplanar(size):
         count += 1
         perm = canonical_form(q)
@@ -771,37 +780,19 @@ def verify_suite(size):
             try:
                 fn(ctx)
             except Exception as e:
-                detail = str(e) or type(e).__name__
-                if first[name]:
-                    extra[name] += 1
-                else:
-                    first[name] = f"perm {perm}: {detail}"
+                fail(name, f"perm {perm}: {str(e) or type(e).__name__}")
         try:
             key = (ctx.beta2.n, canonical_form(ctx.beta2))
         except Exception:
-            key = None
-        if key is not None:
-            if key in lattice_keys:
-                if clash:
-                    clashes += 1
-                else:
-                    clash = (
-                        f"perm {perm} and perm {lattice_keys[key]} "
-                        "share a filter lattice"
-                    )
-            else:
-                lattice_keys[key] = perm
-    results = []
-    for name, _ in _CHECKS:
-        witness = first[name]
-        if witness and extra[name]:
-            witness += f" (and {extra[name]} more)"
-        results.append(CheckResult(name, not witness, witness))
-    witness = clash + (f" (and {clashes} more)" if clash and clashes else "")
-    results.append(
-        CheckResult("filter lattices are pairwise dissimilar", not witness, witness)
+            continue  # the laws above already name the failed construction
+        if key in perm_of_lattice:
+            other = perm_of_lattice[key]
+            fail(_DISSIMILAR, f"perm {perm} and perm {other} share a filter lattice")
+        else:
+            perm_of_lattice[key] = perm
+    results = tuple(
+        CheckResult(name, not first, first + (f" (and {more} more)" if more else ""))
+        for name, (first, more) in ledger.items()
     )
     elapsed = time.perf_counter() - start
-    return EnumerationReport(
-        size, count, expected_count(size), tuple(results), elapsed
-    )
+    return EnumerationReport(size, count, expected_count(size), results, elapsed)

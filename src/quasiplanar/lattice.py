@@ -281,6 +281,11 @@ def irredundant_meet_representations(d, t, x):
 
 
 def interval_subdiagram(d, lo, hi):
-    """The diagram induced on the interval [lo, hi], relabeled from 0."""
+    """The diagram induced on the interval [lo, hi], relabeled from 0.
+
+    Raises ValueError unless lo lies below hi.
+    """
+    if not d.leq(lo, hi):
+        raise ValueError(f"{lo} does not lie below {hi}, so they bound no interval")
     members = sorted(bits(d.up[lo] & d.dn[hi]))
     return _dominance_diagram([(d.lam_pos[x], d.rho_pos[x]) for x in members])

@@ -1,8 +1,10 @@
 """End-to-end command line tests plus in-process exit code checks."""
 
+import argparse
 import hashlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -289,3 +291,14 @@ def test_failed_verification_exits_two(monkeypatch, capsys):
     data = json.loads(captured.out)
     assert data["passed"] is False
     assert data["checks"][0]["witness"] == "perm (1, 2): boom"
+
+
+def test_readme_command_table_lists_the_parser_subcommands_in_order():
+    (sub,) = (
+        a for a in cli._build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("## Command line", 1)[1].split("\n\n")[2]
+    rows = table.splitlines()[2:]
+    assert [row.split("`")[1].split()[0] for row in rows] == list(sub.choices)

@@ -169,6 +169,19 @@ def test_similar_is_label_independent():
     assert not qp.similar(d, qp.chain(5))
 
 
+def test_relabel_rejects_maps_that_are_no_permutation():
+    d = qp.capped_diamond()
+    for bad in (
+        [0, 0, 1, 2, 3], [1, 1, 2, 3, 4], [0, 1, 2, 3, 4, 5],
+        [0, 1, 2, 3, 3], [0.0, 1, 2, 3, 4], [0, 1, 2],
+    ):
+        with pytest.raises(ValueError) as exc:
+            qp.relabel(d, bad)
+        assert type(exc.value) is ValueError
+        # the map itself is not echoed
+        assert str(exc.value) == "new_of_old must permute the integers 0..4"
+
+
 def test_mirror_is_an_involution():
     d = qp.capped_diamond()
     assert qp.mirror(qp.mirror(d)) == d

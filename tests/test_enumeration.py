@@ -197,6 +197,69 @@ def test_verify_suite_carries_failures_as_data(monkeypatch):
     assert all(r.passed for r in report.results if r.name != "injected law")
 
 
+def _share_one_filter_lattice(monkeypatch):
+    """Give every diagram the filter lattice of the first one of its size."""
+    real = enumeration.lattice_from_filters_labeled
+    shared = real(qp.from_canonical((1, 2, 3)))
+    monkeypatch.setattr(enumeration, "lattice_from_filters_labeled", lambda d: shared)
+
+
+# the laws that read the filter lattice see a foreign one on the five
+# diagrams after (1, 2, 3), whose own lattice it is
+_FOREIGN_LATTICE_LAWS = (
+    "pair and filter lattices agree",
+    "filter lattice rebuilds the diagram",
+    "peelings walk the boundary chains",
+    "meet irreducibles carry principal filters",
+    "supports compose every element",
+)
+
+
+def test_verify_suite_names_the_first_shared_filter_lattice(monkeypatch):
+    _share_one_filter_lattice(monkeypatch)
+    report = qp.verify_suite(5)
+    assert not report.passed
+    assert report.count == report.expected == 6
+    law = {r.name: r for r in report.results}
+    assert law["filter lattices are pairwise dissimilar"].witness == (
+        "perm (1, 3, 2) and perm (1, 2, 3) share a filter lattice (and 4 more)"
+    )
+    failed = [r.name for r in report.results if not r.passed]
+    assert failed == [*_FOREIGN_LATTICE_LAWS, "filter lattices are pairwise dissimilar"]
+    for name in _FOREIGN_LATTICE_LAWS:
+        assert law[name].witness.startswith("perm (1, 3, 2): ")
+        assert law[name].witness.endswith(" (and 4 more)")
+
+
+def test_verify_suite_keeps_each_law_to_its_own_witness(monkeypatch):
+    def injected(ctx):
+        if qp.canonical_form(ctx.q)[0] >= 2:
+            raise qp.LawViolation("injected failure")
+
+    _share_one_filter_lattice(monkeypatch)
+    monkeypatch.setattr(
+        enumeration, "_CHECKS", enumeration._CHECKS + (("injected law", injected),)
+    )
+    report = qp.verify_suite(5)
+    assert [r.name for r in report.results] == list(qp.check_names()) + [
+        "filter lattices are pairwise dissimilar"
+    ]
+    assert qp.check_names()[-1] == "injected law"
+    law = {r.name: r for r in report.results}
+    assert law["injected law"] == qp.CheckResult(
+        "injected law", False, "perm (2, 1, 3): injected failure (and 3 more)"
+    )
+    assert law["filter lattices are pairwise dissimilar"] == qp.CheckResult(
+        "filter lattices are pairwise dissimilar", False,
+        "perm (1, 3, 2) and perm (1, 2, 3) share a filter lattice (and 4 more)",
+    )
+    failed = {name for name, r in law.items() if not r.passed}
+    assert failed == {
+        *_FOREIGN_LATTICE_LAWS, "injected law", "filter lattices are pairwise dissimilar"
+    }
+    assert all(r.witness == "" for r in report.results if r.passed)
+
+
 def test_corrupted_orientation_is_caught_by_validation():
     d = qp.lattice_from_filters(qp.from_canonical((3, 4, 2, 1)))
     covers = d.cover_pairs()

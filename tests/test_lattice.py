@@ -91,6 +91,15 @@ def test_interval_subdiagram():
     assert qp.similar(qp.interval_subdiagram(d, 0, 4), d)
 
 
+def test_interval_subdiagram_names_a_pair_that_bounds_no_interval():
+    d = qp.capped_diamond()
+    for lo, hi in ((1, 2), (4, 0)):
+        with pytest.raises(ValueError) as exc:
+            qp.interval_subdiagram(d, lo, hi)
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == f"{lo} does not lie below {hi}, so they bound no interval"
+
+
 def test_lattice_isomorphic_ignores_the_drawing():
     d = qp.capped_diamond()
     assert qp.lattice_isomorphic(d, qp.mirror(d))
