@@ -51,33 +51,35 @@ def bits(mask):
         mask ^= low
 
 
+def _sweep_orders(d):
+    """The elements of ``d`` in the order of each sweep."""
+    lam_order, rho_order = [0] * d.n, [0] * d.n
+    for x in range(d.n):
+        lam_order[d.lam_pos[x]] = x
+        rho_order[d.rho_pos[x]] = x
+    return {"lam_order": tuple(lam_order), "rho_order": tuple(rho_order)}
+
+
+def _suffix_masks(pos):
+    """``suf[p]``, for p in 0..n: the mask of the elements at position p or
+    later in the sweep ``pos``."""
+    suf = [0] * (len(pos) + 1)
+    for x, p in enumerate(pos):
+        suf[p] = 1 << x
+    for p in reversed(range(len(pos))):
+        suf[p] |= suf[p + 1]
+    return suf
+
+
 def _order_masks(d):
-    """The sweep orders and the up, down, left and right masks of ``d``."""
-    n, lam, rho = d.n, d.lam_pos, d.rho_pos
-    lam_order, rho_order = [0] * n, [0] * n
-    for x in range(n):
-        lam_order[lam[x]] = x
-        rho_order[rho[x]] = x
-    # before_l[x], before_r[x]: masks of the elements x follows in each sweep
-    before_l, before_r = [0] * n, [0] * n
-    for order, before in ((lam_order, before_l), (rho_order, before_r)):
-        seen = 0
-        for x in order:
-            before[x] = seen
-            seen |= 1 << x
-    full = (1 << n) - 1
-    up, dn, lft, rgt = [], [], [], []
-    for x in range(n):
-        bl, br, bit = before_l[x], before_r[x], 1 << x
-        al, ar = full ^ bl ^ bit, full ^ br ^ bit
-        up.append(al & ar | bit)
-        dn.append(bl & br | bit)
-        lft.append(al & br)
-        rgt.append(bl & ar)
-    return {
-        "lam_order": tuple(lam_order), "rho_order": tuple(rho_order),
-        "up": tuple(up), "dn": tuple(dn), "lft": tuple(lft), "rgt": tuple(rgt),
-    }
+    """The up and down masks of ``d``: what is after x in both sweeps, x
+    included, and what is after it in neither."""
+    lam, rho, n = d.lam_pos, d.rho_pos, d.n
+    after_l, after_r = _suffix_masks(lam), _suffix_masks(rho)
+    up = [after_l[lam[x]] & after_r[rho[x]] for x in range(n)]
+    dn = [after_l[0] ^ (after_l[lam[x] + 1] | after_r[rho[x] + 1]) for x in range(n)]
+    # lists first: a tuple grown from a generator fills a smaller size's free list
+    return {"up": tuple(up), "dn": tuple(dn)}
 
 
 def _cover_masks(d):
@@ -122,18 +124,19 @@ class Diagram:
     ``lam_pos[x]`` is the position of x in the left-to-right sweep and
     ``rho_pos[x]`` its position in the right-to-left sweep.  These two
     fields carry identity; the constructor stores them with ``n``,
-    ``bottom`` and ``top`` and nothing else.  The other fields are derived
-    on first read, one group at a time, and kept:
+    ``bottom`` and ``top`` and nothing else.  The relation queries compare
+    positions, as the module docstring defines them, on elements 0..n-1
+    that they do not check.  The other fields are derived on first read,
+    one group at a time, and kept:
 
-    * ``lam_order``/``rho_order`` (the elements in each sweep's order),
-      ``up[x]``/``dn[x]`` (the bitmasks of elements >= x / <= x, x
-      included) and ``lft[x]``/``rgt[x]`` (those of the elements x is left
-      / right of): O(n²) bits, built together on the first read of any;
+    * ``lam_order``/``rho_order``, the elements in each sweep's order;
+    * ``up[x]``/``dn[x]``, the bitmasks of the elements >= x / <= x, x
+      included: O(n²) bits, built together on the first read of either;
     * ``upcov``/``dncov``, the cover masks, folded from :meth:`cover_pairs`.
 
-    So comparing, hashing, canonical forms and the pair lists cost no
-    masks.  Instances are hashable values, safe to share and to use as
-    dict keys.
+    So comparing, hashing, the queries, canonical forms and the pair lists
+    cost no masks.  Instances are hashable values, safe to share and to
+    use as dict keys.
 
     ``Diagram(lam_pos, rho_pos)`` is the only constructor.  It raises
     NotLinearizable unless both arguments are permutations of 0..n-1 and
@@ -151,12 +154,10 @@ class Diagram:
     # lattice tables, filled in by quasiplanar.lattice.lattice_tables
     _tables: object = field(default=None, init=False, compare=False, repr=False)
 
-    lam_order = _Derived(_order_masks)
-    rho_order = _Derived(_order_masks)
+    lam_order = _Derived(_sweep_orders)
+    rho_order = _Derived(_sweep_orders)
     up = _Derived(_order_masks)
     dn = _Derived(_order_masks)
-    lft = _Derived(_order_masks)
-    rgt = _Derived(_order_masks)
     upcov = _Derived(_cover_masks)
     dncov = _Derived(_cover_masks)
 
@@ -180,7 +181,8 @@ class Diagram:
     # -- relation queries ------------------------------------------------
 
     def leq(self, x, y):
-        return bool(self.up[x] & (1 << y))
+        lam, rho = self.lam_pos, self.rho_pos
+        return lam[x] <= lam[y] and rho[x] <= rho[y]
 
     def lt(self, x, y):
         return x != y and self.leq(x, y)
@@ -189,7 +191,8 @@ class Diagram:
         return x != y and not self.leq(x, y) and not self.leq(y, x)
 
     def left(self, x, y):
-        return bool(self.lft[x] & (1 << y))
+        lam, rho = self.lam_pos, self.rho_pos
+        return lam[x] < lam[y] and rho[x] > rho[y]
 
     # -- derived views ---------------------------------------------------
 
@@ -246,12 +249,8 @@ class Diagram:
         return tuple(list(map(divmod, codes, repeat(n))))
 
     def incomparable_pairs(self):
-        return tuple(
-            (x, y)
-            for x in range(self.n)
-            for y in range(x + 1, self.n)
-            if self.incomparable(x, y)
-        )
+        """The pairs (x, y) with x < y incomparable, sorted: the left pairs."""
+        return tuple(sorted((min(p), max(p)) for p in self.left_pairs()))
 
     def interior(self):
         return tuple(
@@ -585,13 +584,36 @@ def maximal_chains(d):
     return chains
 
 
+def _element(n, v, what):
+    """``v`` as an element 0..n-1, else ValueError naming it ``what``."""
+    try:
+        if 0 <= operator.index(v) < n:
+            return operator.index(v)
+    except TypeError:
+        raise ValueError(f"{what} of type {type(v).__name__} is not an integer") from None
+    raise ValueError(f"{what} = {_shown(v)} is out of range for n={n}")
+
+
+def _chain_members(n, chain, what):
+    """``chain`` as a tuple of elements 0..n-1, else ValueError."""
+    chain = tuple(chain)
+    for c in chain:
+        if not (type(c) is int and 0 <= c < n):  # the long way names the member
+            return tuple(_element(n, c, f"{what}[{i}]") for i, c in enumerate(chain))
+    return chain
+
+
 def chain_side(d, chain, x):
     """Which side of a maximal chain an element falls on.
 
     Returns "on", "left", "right", or "mixed".  For a valid diagram and a
     maximal chain, "mixed" never occurs and the incomparable set is never
     empty for x off the chain; both facts are checked by the test suite.
+    Raises ValueError unless x and every member of ``chain`` are elements
+    0..n-1.
     """
+    x = _element(d.n, x, "x")
+    chain = _chain_members(d.n, chain, "chain")
     if x in chain:
         return "on"
     incomp = [c for c in chain if d.incomparable(x, c)]

@@ -127,8 +127,10 @@ def _labeled_posets(k):
 
 def _invariants(d, respect_left):
     if respect_left:
+        # x is left of what follows it in the left-to-right sweep but not above it
         return [
-            (d.up[x].bit_count(), d.dn[x].bit_count(), d.lft[x].bit_count())
+            (d.up[x].bit_count(), d.dn[x].bit_count(),
+             d.n - d.lam_pos[x] - d.up[x].bit_count())
             for x in range(d.n)
         ]
     return [(d.up[x].bit_count(), d.dn[x].bit_count()) for x in range(d.n)]
@@ -384,13 +386,13 @@ def _require_same_positions(got, want, message):
         )))
 
 
-def _is_hco_filter(d, ground, mask):
+def _is_hco_filter(d, ground, mask, lft, rgt):
     """Whether ``mask`` is a horizontally convex filter, by the definition."""
     for x in bits(mask):
         if d.up[x] & ~mask:
             return False
     for y in bits(ground & ~mask):
-        if d.rgt[y] & mask and d.lft[y] & mask:
+        if rgt[y] & mask and lft[y] & mask:
             return False
     return True
 
@@ -401,10 +403,14 @@ def _hco_filters_by_definition(d):
     The reference for :func:`~quasiplanar.transform.enumerate_hco_filters`,
     which builds one filter per weak left pair instead.
     """
+    lft, rgt = [0] * d.n, [0] * d.n
+    for x, y in d.left_pairs():
+        lft[x] |= 1 << y
+        rgt[y] |= 1 << x
     ground = _ground_mask(d)
     return {
         frozenset(bits(m)) for m in range(1, 1 << d.n)
-        if not m & ~ground and _is_hco_filter(d, ground, m)
+        if not m & ~ground and _is_hco_filter(d, ground, m, lft, rgt)
     }
 
 
@@ -490,12 +496,10 @@ def _check_closure_laws(c):
                     x3 not in cl,
                     "{} below {} invades the closure of {}", x3, x1, (x1, x2),
                 )
-    gmask = 0
-    for x in ground:
-        gmask |= 1 << x
-    for x1 in ground:
-        for x2 in bits(q.lft[x1] & gmask):
-            for x3 in bits(q.lft[x2] & gmask):
+    # the bottom lies below everything, so no left pair holds it
+    for x1, x2 in q.left_pairs():
+        for x3 in range(q.n):
+            if q.left(x2, x3):
                 _require(
                     x1 not in c.closure((x2, x3)),
                     "{} enters the closure of {} from the left", x1, (x2, x3),
@@ -674,18 +678,17 @@ def _check_mir_absorption(c):
 
 def _check_betweenness_positions(c):
     q = c.q
-    for x in range(q.n):
-        for y in bits(q.lft[x]):
-            for z in range(q.n):
-                between = (z == x or q.left(x, z)) and (z == y or q.left(z, y))
-                sandwich = (
-                    q.lam_pos[x] <= q.lam_pos[z] <= q.lam_pos[y]
-                    and q.rho_pos[y] <= q.rho_pos[z] <= q.rho_pos[x]
-                )
-                _require(
-                    between == sandwich,
-                    "betweenness and sweep positions disagree at {}", (x, z, y),
-                )
+    for x, y in q.left_pairs():
+        for z in range(q.n):
+            between = (z == x or q.left(x, z)) and (z == y or q.left(z, y))
+            sandwich = (
+                q.lam_pos[x] <= q.lam_pos[z] <= q.lam_pos[y]
+                and q.rho_pos[y] <= q.rho_pos[z] <= q.rho_pos[x]
+            )
+            _require(
+                between == sandwich,
+                "betweenness and sweep positions disagree at {}", (x, z, y),
+            )
 
 
 def _check_chain_sides(c):

@@ -19,6 +19,7 @@ from itertools import combinations
 
 from .diagram import (
     _dominance_diagram,
+    _element,
     _maximal_in,
     _minimal_in,
     bits,
@@ -283,9 +284,11 @@ def irredundant_meet_representations(d, t, x):
 def interval_subdiagram(d, lo, hi):
     """The diagram induced on the interval [lo, hi], relabeled from 0.
 
-    Raises ValueError unless lo lies below hi.
+    Raises ValueError unless lo and hi are elements 0..n-1 and lo lies
+    below hi.
     """
+    lo, hi = _element(d.n, lo, "lo"), _element(d.n, hi, "hi")
     if not d.leq(lo, hi):
         raise ValueError(f"{lo} does not lie below {hi}, so they bound no interval")
-    members = sorted(bits(d.up[lo] & d.dn[hi]))
+    members = [x for x in range(d.n) if d.leq(lo, x) and d.leq(x, hi)]
     return _dominance_diagram([(d.lam_pos[x], d.rho_pos[x]) for x in members])

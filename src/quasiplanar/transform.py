@@ -15,11 +15,12 @@ supports, lattice isomorphism), and the antimatroid of filter complements.
 
 The filters are never searched for: each weak left pair (x, y) yields one,
 the up-closure of the elements weakly between x and y, and every filter
-arises from exactly one pair.  That takes O(n) mask operations per pair
-instead of a test of all 2^n subsets.  The definition-level scan lives on
+arises from exactly one pair.  That up-closure is the quadrant of the
+elements at or after x in one sweep and y in the other: one AND of two masks
+per pair, not a test of all 2^n subsets.  The definition-level scan lives on
 in :mod:`quasiplanar.enumeration` as the oracle of the law "filters and weak
-pairs are equinumerous".  The constructions here only construct; the
-laws they obey are checked by :func:`~quasiplanar.enumeration.verify_suite`.
+pairs are equinumerous".  The constructions here only construct; the laws
+they obey are checked by :func:`~quasiplanar.enumeration.verify_suite`.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from bisect import bisect
 from dataclasses import dataclass
 
 from .diagram import (
+    _chain_members,
     _checked,
     _dominance_diagram,
     _maximal_in,
@@ -36,6 +38,7 @@ from .diagram import (
     _order,
     _oriented,
     _shown,
+    _suffix_masks,
     bits,
     mirror,
     similar,
@@ -139,20 +142,14 @@ def _peel(d, leftmost):
     return chain, steps
 
 
-def _pair_mask(d, x, y):
-    """The filter of the weak left pair (x, y): the up-closure, as a mask, of
-    the elements z with x equal to or left of z and z equal to or left of y."""
-    mask = 0
-    for z in bits((d.lft[x] | 1 << x) & (d.rgt[y] | 1 << y)):
-        mask |= d.up[z]
-    return mask
-
-
 def _pair_filters(d):
-    """(size, elements, pair) of each weak left pair's filter, in label order."""
+    """(size, elements, pair) of each weak left pair's filter, in label order;
+    the filter of (x, y) is the quadrant after x in one sweep, y in the other."""
+    lam, rho = d.lam_pos, d.rho_pos
+    after_l, after_r = _suffix_masks(lam), _suffix_masks(rho)
     found = []
     for x, y in weak_left_pairs(d):
-        mask = _pair_mask(d, x, y)
+        mask = after_l[lam[x]] & after_r[rho[y]]
         found.append((mask.bit_count(), list(bits(mask)), (x, y)))
     found.sort()
     return found
@@ -161,8 +158,8 @@ def _pair_filters(d):
 def enumerate_hco_filters(d):
     """Collect every horizontally convex filter of ``d`` into a family.
 
-    Built from the weak left pairs, one filter each, in O(n) mask
-    operations per pair; the law suite compares the result with a scan of
+    Built from the weak left pairs, one filter each, in one mask
+    operation per pair; the law suite compares the result with a scan of
     every subset against the definition.
     """
     filters = tuple(frozenset(elems) for _, elems, _ in _pair_filters(d))
@@ -181,14 +178,15 @@ def hco_closure(d, elements):
     """The smallest horizontally convex filter containing ``elements``.
 
     That is the filter of the weak left pair (leftmost, rightmost minimal
-    element of ``elements``): it holds both legs, hence every minimal
-    element between them and everything above.  The closure of no elements
-    is {top}, the filter of the pair (top, top).
+    element of ``elements``), the quadrant after its legs: it holds both,
+    hence every minimal element between them and everything above.  The
+    closure of no elements is {top}, the filter of the pair (top, top).
     """
     _check_distinct_ends(d)
     elems = {_ground_element(d, e) for e in elements}
     x, y = _pair_key(d, elems) if elems else (d.top, d.top)
-    return frozenset(bits(_pair_mask(d, x, y)))
+    lam, rho = d.lam_pos, d.rho_pos
+    return frozenset(z for z in range(d.n) if lam[z] >= lam[x] and rho[z] >= rho[y])
 
 
 def min_between(d, x, y):
@@ -370,8 +368,9 @@ def lattice_isomorphic(d1, d2):
     """
     require_slim_semimodular(d1)
     require_slim_semimodular(d2)
-    nar1 = sorted(_nar(d1), key=lambda x: d1.dn[x].bit_count())
-    nar2 = sorted(_nar(d2), key=lambda x: d2.dn[x].bit_count())
+    # a narrow's down-set is a prefix of both sweeps, so they rise with lam_pos
+    nar1 = sorted(_nar(d1), key=d1.lam_pos.__getitem__)
+    nar2 = sorted(_nar(d2), key=d2.lam_pos.__getitem__)
     if len(nar1) != len(nar2):
         return False
     for (a1, b1), (a2, b2) in zip(zip(nar1, nar1[1:]), zip(nar2, nar2[1:])):
@@ -380,19 +379,6 @@ def lattice_isomorphic(d1, d2):
         if not (similar(block1, block2) or similar(block1, mirror(block2))):
             return False
     return True
-
-
-def _chain_members(n, chain, what):
-    """``chain`` as a tuple of elements 0..n-1, else ValueError."""
-    chain = tuple(chain)
-    for i, c in enumerate(chain):
-        try:
-            if 0 <= operator.index(c) < n:
-                continue
-        except TypeError:
-            raise ValueError(f"{what}[{i}] of type {type(c).__name__} is not an integer") from None
-        raise ValueError(f"{what}[{i}] = {_shown(c)} is out of range for n={n}")
-    return tuple(map(operator.index, chain))
 
 
 def diagram_from_chains(n, covers, left_chain, right_chain):

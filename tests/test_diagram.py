@@ -229,6 +229,22 @@ def test_chain_side_classification():
     assert qp.chain_side(d, (0, 2, 3, 4), 1) == "left"
 
 
+def test_chain_side_names_an_argument_that_is_no_element():
+    d = qp.capped_diamond()
+    for chain, x, message in (
+        ((0, 1, 3, 4), -3, "x = -3 is out of range for n=5"),
+        ((0, 1, 3, 4), 5, "x = 5 is out of range for n=5"),
+        ((0, 1, 3, 4), 2.0, "x of type float is not an integer"),
+        ((0, 1, -2, 4), 2, "chain[2] = -2 is out of range for n=5"),
+        ((0, 1, 3, 5), 2, "chain[3] = 5 is out of range for n=5"),
+        ((0, "1", 3, 4), 2, "chain[1] of type str is not an integer"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            qp.chain_side(d, chain, x)
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == message
+
+
 def test_chain_side_never_mixed_on_enumerated_diagrams():
     for d in qp.enumerate_quasiplanar(5):
         for chain in qp.maximal_chains(d):
@@ -354,7 +370,7 @@ def test_count_builds_no_masks(monkeypatch):
             return build(d)
         return wrapper
 
-    names = ("lam_order", "rho_order", "up", "dn", "lft", "rgt", "upcov", "dncov")
+    names = ("lam_order", "rho_order", "up", "dn", "upcov", "dncov")
     for name in names:
         field = vars(qp.Diagram)[name]
         monkeypatch.setattr(field, "build", counted(field.build))
@@ -364,7 +380,7 @@ def test_count_builds_no_masks(monkeypatch):
     d = qp.from_canonical((2, 1, 3))
     for name in names:
         getattr(d, name)
-    assert built == ["_order_masks", "_cover_masks"]
+    assert built == ["_sweep_orders", "_order_masks", "_cover_masks"]
 
 
 def test_a_diagram_of_20000_elements_stores_no_masks():
@@ -372,8 +388,17 @@ def test_a_diagram_of_20000_elements_stores_no_masks():
     try:
         d = qp.Diagram(range(20000), range(20000))
         peak = tracemalloc.get_traced_memory()[1]
+        # the relation queries, chain sides, intervals and the realizer
+        # read positions
+        assert d.leq(0, 1) and d.lt(0, 1) and not d.leq(1, 0)
+        assert not d.left(0, 1) and not d.incomparable(0, 1)
+        assert qp.chain_side(d, (0, 19999), 1) == "mixed"
+        assert qp.interval_subdiagram(d, d.bottom, d.top).n == 20000
+        assert qp.realizer(d).rho_order[-1] == 19999
+        peak = max(peak, tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
+    assert "up" not in vars(d)
     assert d.cover_pairs()[-1] == (19998, 19999)
     assert peak < 8 * 2**20
 

@@ -100,6 +100,21 @@ def test_interval_subdiagram_names_a_pair_that_bounds_no_interval():
         assert str(exc.value) == f"{lo} does not lie below {hi}, so they bound no interval"
 
 
+def test_interval_subdiagram_names_a_bound_that_is_no_element():
+    d = qp.capped_diamond()
+    for lo, hi, message in (
+        (-1, 4, "lo = -1 is out of range for n=5"),
+        (0, 5, "hi = 5 is out of range for n=5"),
+        (0, 10**30, "hi = an integer of 100 bits is out of range for n=5"),
+        (None, 4, "lo of type NoneType is not an integer"),
+        (0, 4.0, "hi of type float is not an integer"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            qp.interval_subdiagram(d, lo, hi)
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == message
+
+
 def test_lattice_isomorphic_ignores_the_drawing():
     d = qp.capped_diamond()
     assert qp.lattice_isomorphic(d, qp.mirror(d))

@@ -40,12 +40,27 @@ from quasiplanar.errors import (
     NotLinearizable,
 )
 
-FIELDS = ("n", "up", "lft", "dn", "rgt", "upcov", "dncov", "bottom", "top",
+FIELDS = ("n", "up", "dn", "upcov", "dncov", "bottom", "top",
           "lam_pos", "rho_pos", "lam_order", "rho_order")
 
 
+def _sides(d):
+    """``lft[x]``/``rgt[x]``: the masks of the elements x is left / right of,
+    read off the definition pair by pair."""
+    lam, rho, n = d.lam_pos, d.rho_pos, d.n
+    lft = tuple(
+        sum(1 << y for y in range(n) if lam[x] < lam[y] and rho[x] > rho[y])
+        for x in range(n)
+    )
+    rgt = tuple(
+        sum(1 << y for y in range(n) if lam[x] > lam[y] and rho[x] < rho[y])
+        for x in range(n)
+    )
+    return lft, rgt
+
+
 def _masks(d):
-    return d.n, d.up, d.lft
+    return d.n, d.up, _sides(d)[0]
 
 
 def _relabelled(max_size):
@@ -61,6 +76,8 @@ def _relabelled(max_size):
 
 
 def _dominance(lam, rho):
+    """The derived fields of ``Diagram(lam, rho)`` and its four relation
+    predicates, each read off the definition pair by pair."""
     n = len(lam)
 
     def leq(x, y):
@@ -76,18 +93,10 @@ def _dominance(lam, rho):
 
     up = tuple(mask(leq, x) for x in range(n))
     dn = tuple(mask(lambda x, y: leq(y, x), x) for x in range(n))
-    return {
+    fields = {
         "n": n,
         "up": up,
         "dn": dn,
-        "lft": tuple(
-            mask(lambda x, y: lam[x] < lam[y] and rho[x] > rho[y], x)
-            for x in range(n)
-        ),
-        "rgt": tuple(
-            mask(lambda x, y: lam[x] > lam[y] and rho[x] < rho[y], x)
-            for x in range(n)
-        ),
         "upcov": tuple(mask(covers, x) for x in range(n)),
         "dncov": tuple(mask(lambda x, y: covers(y, x), x) for x in range(n)),
         "bottom": next(x for x in range(n) if dn[x] == 1 << x),
@@ -97,6 +106,13 @@ def _dominance(lam, rho):
         "lam_order": tuple(sorted(range(n), key=lam.__getitem__)),
         "rho_order": tuple(sorted(range(n), key=rho.__getitem__)),
     }
+    predicates = {
+        "leq": leq,
+        "lt": lambda x, y: x != y and leq(x, y),
+        "left": lambda x, y: lam[x] < lam[y] and rho[x] > rho[y],
+        "incomparable": lambda x, y: x != y and not leq(x, y) and not leq(y, x),
+    }
+    return fields, predicates
 
 
 def test_positions_derive_the_dominance_order():
@@ -112,8 +128,17 @@ def test_positions_derive_the_dominance_order():
                         qp.Diagram(lam, rho)
                     continue
                 d = qp.Diagram(lam, rho)
-                want = _dominance(lam, rho)
+                want, predicates = _dominance(lam, rho)
                 assert {f: getattr(d, f) for f in FIELDS} == want
+                for name, pred in predicates.items():
+                    query = getattr(d, name)
+                    for x in range(n):
+                        for y in range(n):
+                            assert query(x, y) == pred(x, y), (name, x, y)
+                assert d.incomparable_pairs() == tuple(
+                    (x, y) for x in range(n) for y in range(x + 1, n)
+                    if predicates["incomparable"](x, y)
+                )
                 valid[n] += 1
     # n! choices of lam_pos, (n - 2)! of rho_pos sharing its first and last
     assert valid == {1: 1, 2: 2, 3: 6, 4: 48, 5: 720}
@@ -148,14 +173,13 @@ def _derived_by_definition(lam, rho):
             before[x] = seen
             seen |= 1 << x
     full = (1 << n) - 1
-    up, dn, lft, rgt = [], [], [], []
+    up, dn, lft = [], [], []
     for x in range(n):
         bl, br, bit = before_l[x], before_r[x], 1 << x
         al, ar = full ^ bl ^ bit, full ^ br ^ bit
         up.append(al & ar | bit)
         dn.append(bl & br | bit)
         lft.append(al & br)
-        rgt.append(bl & ar)
     upcov, dncov = [0] * n, [0] * n
     for i, x in enumerate(lam_order):
         bound = n
@@ -168,7 +192,7 @@ def _derived_by_definition(lam, rho):
                 if bound == rho[x] + 1:
                     break
     return {
-        "up": tuple(up), "dn": tuple(dn), "lft": tuple(lft), "rgt": tuple(rgt),
+        "up": tuple(up), "dn": tuple(dn),
         "upcov": tuple(upcov), "dncov": tuple(dncov),
         "lam_order": tuple(lam_order), "rho_order": tuple(rho_order),
         "bottom": lam_order[0], "top": lam_order[-1],
@@ -233,18 +257,19 @@ def test_left_pairs_are_listed_in_order_past_the_cached_integers():
 
 
 def _mirror_by_masks(d):
-    return d.n, d.up, d.rgt
+    return d.n, d.up, _sides(d)[1]
 
 
 def _relabel_by_masks(d, new_of_old):
     n = d.n
     up = [0] * n
     lft = [0] * n
+    old_lft = _sides(d)[0]
     for x in range(n):
         nx = new_of_old[x]
         for y in bits(d.up[x]):
             up[nx] |= 1 << new_of_old[y]
-        for y in bits(d.lft[x]):
+        for y in bits(old_lft[x]):
             lft[nx] |= 1 << new_of_old[y]
     return n, tuple(up), tuple(lft)
 
@@ -255,12 +280,13 @@ def _restrict_by_masks(d, members, offset):
     m = len(members) + offset
     up = [0] * m
     lft = [0] * m
+    old_lft = _sides(d)[0]
     for old in members:
         new = new_of_old[old]
         for y in bits(d.up[old]):
             if y in new_of_old:
                 up[new] |= 1 << new_of_old[y]
-        for y in bits(d.lft[old]):
+        for y in bits(old_lft[old]):
             if y in new_of_old:
                 lft[new] |= 1 << new_of_old[y]
     return up, lft
@@ -416,6 +442,33 @@ def test_filter_family_matches_the_convexity_scan():
 ))
 def test_filter_family_matches_the_convexity_scan_on_samples(perm):
     _assert_family_matches_the_scan(qp.from_canonical(perm))
+
+
+def _pair_mask(d, x, y):
+    """The filter of the weak left pair (x, y) as transform built it before a
+    filter was a quadrant: the up-closure, as a mask, of the elements z with
+    x equal to or left of z and z equal to or left of y."""
+    lft, rgt = _sides(d)
+    mask = 0
+    for z in bits((lft[x] | 1 << x) & (rgt[y] | 1 << y)):
+        mask |= d.up[z]
+    return mask
+
+
+def test_filters_are_the_quadrants_of_their_pairs():
+    checked = 0
+    for d in _relabelled(8):
+        if d.n < 3:
+            continue
+        found = transform._pair_filters(d)
+        assert sorted(p for _, _, p in found) == sorted(qp.weak_left_pairs(d))
+        for _, elems, (x, y) in found:
+            want = frozenset(bits(_pair_mask(d, x, y)))
+            assert frozenset(elems) == want, (d, x, y)
+            assert qp.hco_closure(d, (x, y)) == want, (d, x, y)
+            checked += 1
+    # every weak left pair of every diagram of sizes 3-8, three labelings each
+    assert checked == 3 * 11994
 
 
 def test_filter_lattice_of_a_40_element_diagram():
@@ -611,7 +664,7 @@ def _boundary_chains_by_definition(d):
     """The elements with nothing to their left, then those with nothing to
     their right, each bottom to top."""
     return tuple(
-        tuple(x for x in d.lam_order if not beside[x]) for beside in (d.rgt, d.lft)
+        tuple(x for x in d.lam_order if not beside[x]) for beside in _sides(d)[::-1]
     )
 
 
