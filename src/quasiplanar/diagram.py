@@ -82,6 +82,13 @@ def _order_masks(d):
     return {"up": tuple(up), "dn": tuple(dn)}
 
 
+def _pairs(codes, n):
+    """The pairs (x, y) of the codes x·n + y, in their order."""
+    # through a list: a tuple grown from the iterator itself is resized
+    # step by step, which left CLI enumerate peaking 4 MB higher
+    return tuple(list(map(divmod, codes, repeat(n))))
+
+
 def _cover_masks(d):
     """The upper and lower cover masks of ``d``, from its cover pairs."""
     upcov, dncov = [0] * d.n, [0] * d.n
@@ -196,39 +203,39 @@ class Diagram:
 
     # -- derived views ---------------------------------------------------
 
-    def cover_pairs(self):
-        """The pairs (x, y) with y covering x, sorted.
+    def _cover_codes(self):
+        """The sorted codes x·n + y of the pairs (x, y) with y covering x.
 
         y covers x when it follows x in both sweeps and nothing lies
         between them in both.  Walking the left-to-right sweep from x, each
         cover lowers the bound on the reverse position of the next one, and
         once the bound is rho_pos[x] + 1 no later element can be a cover.
+        Integers sort several times faster than tuples, and the codes are
+        all a serialized document needs.
         """
         rho, n = self.rho_pos, self.n
         order = sorted(range(n), key=self.lam_pos.__getitem__)
         rank = [rho[x] for x in order]
-        out = []
+        codes = []
         for i in range(n):
-            low, bound = rank[i], n
+            low, bound, base = rank[i], n, order[i] * n
             for j in range(i + 1, n):
                 r = rank[j]
                 if low < r < bound:
-                    out.append((order[i], order[j]))
+                    codes.append(base + order[j])
                     bound = r
                     if r == low + 1:
                         break
-        out.sort()
-        return tuple(out)
+        codes.sort()
+        return codes
 
-    def left_pairs(self):
-        """The pairs (x, y) with x left of y, sorted.
+    def _left_codes(self):
+        """The sorted codes x·n + y of the pairs (x, y) with x left of y.
 
         x is left of y when it comes first in the left-to-right sweep and
         last in the right-to-left one.  The walk along the first sweep
         keeps the reverse positions passed so far in order, so each y
         takes its pairs by bisection, in time proportional to their number.
-        A pair is collected as the integer x·n + y: integers sort several
-        times faster than tuples, and divmod turns them back into pairs.
         """
         lam, rho, n = self.lam_pos, self.rho_pos, self.n
         at = [0] * n  # at[r]: n times the element at reverse position r
@@ -244,9 +251,15 @@ class Diagram:
                 codes.append(at[s] + y)
             passed.insert(i, r)
         codes.sort()
-        # through a list: a tuple grown from the iterator itself is resized
-        # step by step, which left CLI enumerate peaking 4 MB higher
-        return tuple(list(map(divmod, codes, repeat(n))))
+        return codes
+
+    def cover_pairs(self):
+        """The pairs (x, y) with y covering x, sorted."""
+        return _pairs(self._cover_codes(), self.n)
+
+    def left_pairs(self):
+        """The pairs (x, y) with x left of y, sorted."""
+        return _pairs(self._left_codes(), self.n)
 
     def incomparable_pairs(self):
         """The pairs (x, y) with x < y incomparable, sorted: the left pairs."""

@@ -677,14 +677,18 @@ def _check_mir_absorption(c):
 
 
 def _check_betweenness_positions(c):
+    # z is between x and y when it is x or right of x, and y or left of
+    # y, read off the listed left pairs; the pairs run over those listed
+    # and those the positions place, so at z = x a pair the walk dropped,
+    # or listed without the positions, is a witness like any other
     q = c.q
-    for x, y in q.left_pairs():
+    lam, rho = q.lam_pos, q.rho_pos
+    left = set(q.left_pairs())
+    placed = {(x, y) for x in range(q.n) for y in range(q.n) if q.left(x, y)}
+    for x, y in sorted(left | placed):
         for z in range(q.n):
-            between = (z == x or q.left(x, z)) and (z == y or q.left(z, y))
-            sandwich = (
-                q.lam_pos[x] <= q.lam_pos[z] <= q.lam_pos[y]
-                and q.rho_pos[y] <= q.rho_pos[z] <= q.rho_pos[x]
-            )
+            between = (z == x or (x, z) in left) and (z == y or (z, y) in left)
+            sandwich = lam[x] <= lam[z] <= lam[y] and rho[y] <= rho[z] <= rho[x]
             _require(
                 between == sandwich,
                 "betweenness and sweep positions disagree at {}", (x, z, y),

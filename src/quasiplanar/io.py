@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import repeat
+from operator import floordiv, mod
 
 from .diagram import _diagram_of, _order, _shown, validate
 from .errors import DiagramError, MalformedDocument
@@ -122,21 +124,36 @@ def document_of(d, name=None):
     return DiagramDocument(d.n, d.cover_pairs(), d.left_pairs(), name)
 
 
+def _pairs_text(codes, n):
+    """The JSON array of the pairs of the sorted codes x·n + y, compact."""
+    k = len(codes)
+    flat = [0] * (2 * k)
+    flat[::2] = map(floordiv, codes, repeat(n))
+    flat[1::2] = map(mod, codes, repeat(n))
+    return "[" + ("[%d,%d]," * k)[:-1] % tuple(flat) + "]"
+
+
 def serialize(doc, pretty=False):
     """Render a document (or diagram) as canonical JSON text.
 
     Key order is fixed, pair lists are sorted, and the compact form uses
     no whitespace, so equality of diagrams means equality of bytes.  A
-    diagram's pairs come sorted; a document's are sorted here.
+    diagram is written straight from the sorted pair codes of its two
+    walks, with the bytes the ``json`` module would write; a document,
+    whose pairs are unchecked and sorted here, and pretty output go
+    through ``json``.
     """
-    if isinstance(doc, DiagramDocument):
-        covers, left, name = sorted(doc.covers), sorted(doc.left), doc.name
-    else:
-        covers, left, name = doc.cover_pairs(), doc.left_pairs(), None
+    if not isinstance(doc, DiagramDocument):
+        if not pretty:
+            n = doc.n
+            return '{"n":%d,"covers":%s,"left":%s}' % (
+                n, _pairs_text(doc._cover_codes(), n), _pairs_text(doc._left_codes(), n)
+            )
+        doc = document_of(doc)
     # json writes a tuple as an array
-    data = {"n": doc.n, "covers": covers, "left": left}
-    if name is not None:
-        data["name"] = name
+    data = {"n": doc.n, "covers": sorted(doc.covers), "left": sorted(doc.left)}
+    if doc.name is not None:
+        data["name"] = doc.name
     if pretty:
         return json.dumps(data, indent=2) + "\n"
     return _COMPACT.encode(data)

@@ -304,14 +304,14 @@ def _rebuilt(d):
     (sound), and by the paper's bijection every slim semimodular ``d`` is
     (complete).  That pair lattice, one element per element above the
     bottom and per left pair, is built only if the walk of
-    ``Diagram.left_pairs``, cut off past ``d.n``, counts ``d.n`` of them.
+    ``Diagram._left_codes``, cut off past ``d.n``, counts ``d.n`` of them.
     """
     keep = sorted(_mir(d) | {d.top})
     # the fresh bottom's key sorts first in both sweeps
     keys = [(-1, -1)] + [(d.lam_pos[x], d.rho_pos[x]) for x in keep]
     alpha = _dominance_diagram(keys)
-    # the walk of Diagram.left_pairs, counting the pairs instead of listing
-    # them; a generator shared with it would slow left_pairs on serialize
+    # the walk of Diagram._left_codes, counting the pairs instead of listing
+    # them; a generator shared with it would slow it on serialize
     size, passed = alpha.n - 1, []
     for y in sorted(range(alpha.n), key=alpha.lam_pos.__getitem__):
         i = bisect(passed, alpha.rho_pos[y])

@@ -355,6 +355,26 @@ def test_position_laws_name_the_first_misplaced_element(monkeypatch):
     )
 
 
+def test_betweenness_law_reads_the_listed_left_pairs(monkeypatch):
+    # drop the first left pair of every size-5 diagram: betweenness read
+    # off the list then misses the pair that the positions still place
+    real = qp.Diagram.left_pairs
+
+    def dropped(d):
+        pairs = real(d)
+        return pairs[1:] if d.n == 5 else pairs
+
+    monkeypatch.setattr(qp.Diagram, "left_pairs", dropped)
+    law = {r.name: r for r in qp.verify_suite(5).results}[
+        "betweenness matches sweep positions"
+    ]
+    assert not law.passed
+    assert law.witness == (
+        "perm (1, 3, 2): betweenness and sweep positions disagree at (2, 2, 3)"
+        " (and 4 more)"
+    )
+
+
 def test_broken_law_fails_under_python_O():
     # python -O strips asserts; the law bodies must still fail, those that
     # check a construction included

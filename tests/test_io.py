@@ -1,6 +1,7 @@
 """Interchange documents, canonical JSON, and DOT rendering."""
 
 import json
+import random
 
 import pytest
 
@@ -26,6 +27,31 @@ def test_parse_round_trips_every_small_diagram():
             assert qp.parse(qp.serialize(d)) == d
 
 
+def _same_bytes_as_the_json_path(d):
+    assert qp.serialize(d) == qp.serialize(qp.document_of(d))
+
+
+def test_diagram_text_matches_the_json_path_byte_for_byte():
+    # a diagram is written from its pair codes, a document through json
+    rng = random.Random(17)
+    for size in range(2, 9):
+        for d in qp.enumerate_quasiplanar(size):
+            for e in (d, qp.mirror(d)):
+                _same_bytes_as_the_json_path(e)
+                _same_bytes_as_the_json_path(qp.relabel(e, range(size - 1, -1, -1)))
+                _same_bytes_as_the_json_path(qp.relabel(e, rng.sample(range(size), size)))
+            if size <= 6 or rng.random() < 0.02:
+                _same_bytes_as_the_json_path(qp.lattice_from_pairs(d))
+                _same_bytes_as_the_json_path(qp.lattice_from_filters(d))
+    # past the small-int cache, and a chain, whose left list is empty
+    n = 300
+    big = qp.from_canonical(rng.sample(range(1, n - 1), n - 2))
+    _same_bytes_as_the_json_path(qp.relabel(big, rng.sample(range(n), n)))
+    chain = qp.from_canonical(range(1, 9))
+    _same_bytes_as_the_json_path(chain)
+    assert qp.serialize(chain).endswith('"left":[]}')
+
+
 def test_pretty_output_parses_to_the_same_diagram():
     d = qp.capped_diamond()
     text = qp.serialize(qp.document_of(d), pretty=True)
@@ -33,6 +59,7 @@ def test_pretty_output_parses_to_the_same_diagram():
     assert "\n  " in text
     assert qp.parse(text) == d
     assert json.loads(text) == json.loads(Q5_TEXT)
+    assert qp.serialize(d, pretty=True) == text
 
 
 def test_name_survives_the_document_round_trip():
