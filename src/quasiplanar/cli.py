@@ -115,7 +115,9 @@ def _cmd_verify(args):
             ],
         }
     )
-    print(f"elapsed {report.elapsed:.2f}s", file=sys.stderr)
+    n = report.processes
+    plural = "es" if n != 1 else ""
+    print(f"elapsed {report.elapsed:.2f}s in {n} process{plural}", file=sys.stderr)
     return report.passed
 
 

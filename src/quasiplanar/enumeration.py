@@ -5,16 +5,21 @@ decoding permutations.  ``oracle_enumerate`` reproduces the same classes
 the slow way: generate every labeled bounded poset, try every orientation
 of its incomparable pairs, keep the valid ones, and group them by explicit
 bijection search, never consulting canonical forms.  ``verify_suite`` runs
-a battery of named structural laws over every diagram of a size and
-returns failures as data rather than raising.
+a battery of named structural laws over every diagram of a size, split
+into one share of the canonical ranks per available CPU, and returns
+failures as data rather than raising.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
+import threading
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 from math import factorial
 
 from .diagram import (
@@ -30,7 +35,7 @@ from .diagram import (
     revalidate,
     similar,
 )
-from .errors import LawViolation, SizeTooLarge
+from .errors import LawViolation, ShareFailed, SizeTooLarge
 from .lattice import (
     _cover_walks,
     _slim_semimodular_tables,
@@ -292,6 +297,7 @@ class EnumerationReport:
     expected: int
     results: tuple[CheckResult, ...]
     elapsed: float
+    processes: int = 1  # how many processes ran shares of the diagrams
 
     @property
     def passed(self):
@@ -758,6 +764,132 @@ def check_names():
     return tuple(name for name, _ in _CHECKS)
 
 
+def _cpus():
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _shares(size, total):
+    """Contiguous ranges ``[lo, hi)`` of ranks, one per process of the suite.
+
+    One range, run in-process, below size 7 (24 diagrams or fewer), without
+    ``os.fork``, with a second thread alive (forking it is unsafe), or on one
+    CPU.
+    """
+    forkable = size >= 7 and hasattr(os, "fork") and threading.active_count() == 1
+    k = min(_cpus(), total) if forkable else 1
+    return [(i * total // k, (i + 1) * total // k) for i in range(k)]
+
+
+def _fail(ledger, name, witness, more=0):
+    """Record a failure of a law, then ``more`` failures that followed it."""
+    entry = ledger[name]
+    if entry[0]:
+        entry[1] += 1 + more
+    else:
+        entry[:] = witness, more
+
+
+def _run_share(size, lo, hi):
+    """Run every law over the diagrams of lexicographic rank lo <= r < hi.
+
+    Returns the number of diagrams, a ledger ``{law: [first witness, how
+    many more failures followed]}``, and in rank order the ``(filter lattice
+    key, perm)`` of each diagram whose filter lattice was built.
+    """
+    ledger = {name: ["", 0] for name in check_names()}
+    keys = []
+    count = 0
+    for perm in islice(permutations(range(1, size - 1)), lo, hi):
+        count += 1
+        ctx = _Ctx(from_canonical(perm))
+        for name, fn in _CHECKS:
+            try:
+                fn(ctx)
+            except Exception as e:
+                _fail(ledger, name, f"perm {perm}: {str(e) or type(e).__name__}")
+        try:
+            keys.append(((ctx.beta2.n, canonical_form(ctx.beta2)), perm))
+        except Exception:
+            continue  # the laws above already name the failed construction
+    return count, ledger, keys
+
+
+def _fork_share(size, lo, hi):
+    """Run one share in a forked child; returns its pid and its pipe's read end.
+
+    The child pickles the share's result to the pipe and leaves through
+    ``os._exit``, with status 0 only once the whole result is written.
+    """
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                os.close(r)
+                with open(w, "wb") as out:
+                    out.write(pickle.dumps(_run_share(size, lo, hi)))
+                status = 0
+            finally:
+                os._exit(status)
+    except OSError:
+        os.close(r)
+        raise
+    finally:
+        os.close(w)
+    return pid, open(r, "rb")
+
+
+def _run_shares(size, shares):
+    """The results of :func:`_run_share` over ``shares``, in share order.
+
+    The caller runs the first share itself and a forked child each other
+    one.  A child that exits non-zero or sends a truncated result raises
+    ShareFailed; on every way out, each child not yet reaped is killed and
+    reaped.  The children are forked with SIGINT blocked and keep it
+    blocked, so an interrupt never unwinds a child into the caller's code,
+    and reaches the caller only once every child is on the list.
+    """
+    children = []  # (lo, hi, pid, pipe) of each child not yet reaped
+    try:
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            for lo, hi in shares[1:]:
+                children.append((lo, hi, *_fork_share(size, lo, hi)))
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        outcomes = [_run_share(size, *shares[0])]
+        while children:
+            lo, hi, pid, pipe = children[0]
+            with pipe:
+                data = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[0]
+            if status:
+                raise ShareFailed(
+                    f"the law suite's share of ranks [{lo}, {hi}) "
+                    f"ended with exit status {status}", (lo, hi), status,
+                )
+            try:
+                outcomes.append(pickle.loads(data))
+            except (pickle.UnpicklingError, EOFError) as e:
+                raise ShareFailed(
+                    f"the law suite's share of ranks [{lo}, {hi}) sent a truncated "
+                    f"result of {len(data)} bytes and ended with exit status {status}",
+                    (lo, hi), status,
+                ) from e
+        return outcomes
+    finally:
+        for _, _, pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def verify_suite(size):
     """Run every law over every diagram of a size; failures become data.
 
@@ -765,41 +897,35 @@ def verify_suite(size):
     canonical permutation of the first offending diagram (and how many
     more followed).  A final result checks that the filter lattices of
     distinct diagrams are pairwise dissimilar.
+
+    On POSIX, from size 7 on, the diagrams are split into one contiguous
+    share of the canonical ranks per CPU this process may use: the caller
+    checks the first share and a forked child each other one (``taskset -c
+    0`` gives one process).  The report is the same as a one-process run's
+    but for ``elapsed`` and ``processes``.  A child sends back only its
+    share's ledger and lattice keys, so its own memory stays that of the
+    caller at the fork plus one share's diagrams.  A child that dies or
+    reports short raises ShareFailed rather than returning a report.
     """
     start = time.perf_counter()
-    # law name -> [first witness, how many more failures followed]
+    total = expected_count(size)
+    shares = _shares(size, total)
     ledger = {name: ["", 0] for name in (*check_names(), _DISSIMILAR)}
-
-    def fail(name, witness):
-        entry = ledger[name]
-        if entry[0]:
-            entry[1] += 1
-        else:
-            entry[0] = witness
-
     count = 0
     perm_of_lattice = {}
-    for q in enumerate_quasiplanar(size):
-        count += 1
-        perm = canonical_form(q)
-        ctx = _Ctx(q)
-        for name, fn in _CHECKS:
-            try:
-                fn(ctx)
-            except Exception as e:
-                fail(name, f"perm {perm}: {str(e) or type(e).__name__}")
-        try:
-            key = (ctx.beta2.n, canonical_form(ctx.beta2))
-        except Exception:
-            continue  # the laws above already name the failed construction
-        if key in perm_of_lattice:
-            other = perm_of_lattice[key]
-            fail(_DISSIMILAR, f"perm {perm} and perm {other} share a filter lattice")
-        else:
-            perm_of_lattice[key] = perm
+    for share_count, share_ledger, keys in _run_shares(size, shares):
+        count += share_count
+        for name, (first, more) in share_ledger.items():
+            if first:
+                _fail(ledger, name, first, more)
+        for key, perm in keys:
+            other = perm_of_lattice.setdefault(key, perm)
+            if other != perm:
+                _fail(ledger, _DISSIMILAR,
+                      f"perm {perm} and perm {other} share a filter lattice")
     results = tuple(
         CheckResult(name, not first, first + (f" (and {more} more)" if more else ""))
         for name, (first, more) in ledger.items()
     )
     elapsed = time.perf_counter() - start
-    return EnumerationReport(size, count, expected_count(size), results, elapsed)
+    return EnumerationReport(size, count, total, results, elapsed, len(shares))

@@ -78,3 +78,17 @@ class MalformedDocument(ValueError):
     def __init__(self, message, location=""):
         super().__init__(f"{location}: {message}" if location else message)
         self.location = location
+
+
+class ShareFailed(RuntimeError):
+    """A child process running a share of the law suite did not report it.
+
+    ``ranks`` is the share's range ``(lo, hi)`` of canonical ranks and
+    ``status`` the child's exit status, or minus the number of the signal
+    that ended it.
+    """
+
+    def __init__(self, message, ranks, status):
+        super().__init__(message)
+        self.ranks = ranks
+        self.status = status

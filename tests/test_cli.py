@@ -1,9 +1,11 @@
 """End-to-end command line tests plus in-process exit code checks."""
 
 import argparse
+import dataclasses
 import hashlib
 import io
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -162,7 +164,7 @@ def test_verify_reports_every_law_and_keeps_timing_off_stdout(cli):
     assert "elapsed" not in data
     assert len(data["checks"]) == len(qp.check_names()) + 1
     assert all(c["passed"] and c["witness"] == "" for c in data["checks"])
-    assert "elapsed" in err
+    assert re.fullmatch(r"elapsed \d+\.\d\ds in 1 process\n", err), err
     code2, out2, _ = cli("verify", "--size", "4")
     assert (code2, out2) == (code, out)
 
@@ -288,9 +290,14 @@ def test_failed_verification_exits_two(monkeypatch, capsys):
     code = cli.main(["verify", "--size", "4"])
     captured = capsys.readouterr()
     assert code == 2
+    assert captured.err == "elapsed 0.00s in 1 process\n"
     data = json.loads(captured.out)
     assert data["passed"] is False
     assert data["checks"][0]["witness"] == "perm (1, 2): boom"
+    # the process count goes to stderr only
+    report = dataclasses.replace(report, elapsed=13.337, processes=2)
+    assert cli.main(["verify", "--size", "4"]) == 2
+    assert capsys.readouterr() == (captured.out, "elapsed 13.34s in 2 processes\n")
 
 
 def test_readme_command_table_lists_the_parser_subcommands_in_order():

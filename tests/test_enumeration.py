@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import threading
 from itertools import combinations
 from pathlib import Path
 
@@ -405,3 +406,144 @@ print(report.passed, failed[0], law.passed, law.witness)
         "False pair and filter lattices agree False perm (1, 2, 3): "
         "round trip moved a filter [3, 4] (and 5 more)\n",
     ), proc.stderr
+
+
+# -- the suite split over processes ----------------------------------------
+
+
+def _on_cpus(monkeypatch, cpus, size):
+    """verify_suite(size) as if this process could run on ``cpus`` CPUs."""
+    with monkeypatch.context() as m:
+        m.setattr(enumeration, "_cpus", lambda: cpus)
+        return qp.verify_suite(size)
+
+
+def _same_report(split, single):
+    # every field but the timing and the process count
+    return (split.size, split.count, split.expected, split.results) == (
+        single.size, single.count, single.expected, single.results
+    )
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+def test_split_suite_reports_what_one_process_does(monkeypatch):
+    for size in range(2, 8):
+        single, split = (_on_cpus(monkeypatch, k, size) for k in (1, 3))
+        assert split.passed and _same_report(split, single)
+        assert (single.processes, split.processes) == (1, 3 if size >= 7 else 1)
+    assert _no_child_left()
+
+
+@pytest.mark.slow
+def test_split_suite_reports_what_one_process_does_at_size_eight(monkeypatch):
+    single, split = (_on_cpus(monkeypatch, k, 8) for k in (1, 3))
+    assert split.passed and _same_report(split, single)
+    assert (single.processes, split.processes) == (1, 3)
+    assert _no_child_left()
+
+
+def test_split_suite_names_the_first_failure_across_shares(monkeypatch):
+    # with three shares of 40 ranks, the law fails on ranks 24-47, across
+    # the first boundary, and on ranks 96-119, all in the last share
+    def injected(ctx):
+        if qp.canonical_form(ctx.q)[0] in (2, 5):
+            raise qp.LawViolation("injected failure")
+
+    monkeypatch.setattr(
+        enumeration, "_CHECKS", enumeration._CHECKS + (("injected law", injected),)
+    )
+    monkeypatch.setattr(enumeration, "_cpus", lambda: 3)
+    assert enumeration._shares(7, 120) == [(0, 40), (40, 80), (80, 120)]
+    single, split = (_on_cpus(monkeypatch, k, 7) for k in (1, 3))
+    assert split.processes == 3 and _same_report(split, single)
+    assert [r.name for r in split.results if not r.passed] == ["injected law"]
+    assert split.results[-2].witness == (
+        "perm (2, 1, 3, 4, 5): injected failure (and 47 more)"
+    )
+    assert _no_child_left()
+
+
+def test_split_suite_replays_shared_filter_lattices_in_rank_order(monkeypatch):
+    _share_one_filter_lattice(monkeypatch)
+    single, split = (_on_cpus(monkeypatch, k, 7) for k in (1, 3))
+    assert split.processes == 3 and _same_report(split, single)
+    assert split.results[-1].witness == (
+        "perm (1, 2, 3, 5, 4) and perm (1, 2, 3, 4, 5) share a filter lattice"
+        " (and 118 more)"
+    )
+    assert _no_child_left()
+
+
+def _with_law(monkeypatch, name, law):
+    monkeypatch.setattr(enumeration, "_CHECKS", enumeration._CHECKS + ((name, law),))
+
+
+def test_a_failed_share_raises_and_leaves_no_child(monkeypatch):
+    caller = os.getpid()
+
+    def dies_in_a_child(ctx):
+        if os.getpid() != caller:
+            os._exit(3)
+
+    _with_law(monkeypatch, "dies in a child", dies_in_a_child)
+    with pytest.raises(qp.ShareFailed) as exc:
+        _on_cpus(monkeypatch, 2, 7)
+    assert (exc.value.ranks, exc.value.status) == ((60, 120), 3)
+    assert str(exc.value) == (
+        "the law suite's share of ranks [60, 120) ended with exit status 3"
+    )
+    assert _no_child_left()
+
+
+def test_a_truncated_share_raises_and_leaves_no_child(monkeypatch):
+    real = enumeration.pickle.dumps
+    monkeypatch.setattr(enumeration.pickle, "dumps", lambda obj: real(obj)[:-7])
+    with pytest.raises(qp.ShareFailed) as exc:
+        _on_cpus(monkeypatch, 2, 7)
+    assert (exc.value.ranks, exc.value.status) == ((60, 120), 0)
+    assert "ranks [60, 120) sent a truncated result" in str(exc.value)
+    assert _no_child_left()
+
+
+def test_an_interrupted_caller_kills_and_reaps_its_children(monkeypatch):
+    caller = os.getpid()
+
+    def interrupts_the_caller(ctx):
+        if os.getpid() == caller:
+            raise KeyboardInterrupt
+
+    _with_law(monkeypatch, "interrupts the caller", interrupts_the_caller)
+    with pytest.raises(KeyboardInterrupt):
+        _on_cpus(monkeypatch, 3, 7)
+    assert _no_child_left()
+
+
+def test_suite_runs_in_process_without_a_safe_fork(monkeypatch):
+    single = _on_cpus(monkeypatch, 1, 7)
+
+    def forbidden():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(enumeration, "_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", forbidden)
+    report = qp.verify_suite(6)
+    assert report.passed and report.processes == 1
+    # a second live thread makes fork unsafe
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(60,))
+    thread.start()
+    try:
+        report = qp.verify_suite(7)
+    finally:
+        release.set()
+        thread.join(60)
+    assert not thread.is_alive()
+    assert report.processes == 1 and _same_report(report, single)
+    monkeypatch.delattr(os, "fork")
+    report = qp.verify_suite(7)
+    assert report.processes == 1 and _same_report(report, single)
