@@ -82,8 +82,8 @@ def _cmd_enumerate(args):
         for text in docs:
             print(text)
         return
+    total = expected_count(args.size)  # refuses a bad size before DIR is made
     os.makedirs(args.out, exist_ok=True)
-    total = expected_count(args.size)
     width = len(str(max(total - 1, 0)))
     count = 0
     for i, text in enumerate(docs):

@@ -2,10 +2,11 @@
 
 Operation tables, the structural predicates (semimodular, slim,
 join-distributive) with the table verdict naming why a diagram is not slim
-semimodular, the boundary walks and supports read past the gate, meet
-representations and intervals.  The gate and the functions that go through
-it live with its certificate in :mod:`quasiplanar.transform`, which imports
-this module, never the other way round.
+semimodular, the boundary walks, supports and narrows read off the sweep
+positions past the gate, meet representations and intervals.  The gate and
+the functions that go through it live with its certificate in
+:mod:`quasiplanar.transform`, which imports this module, never the other
+way round.
 
 Throughout, a "lattice diagram" is a valid diagram whose order happens to
 be a lattice; the slim semimodular ones are exactly the diagrams produced
@@ -14,6 +15,7 @@ by :func:`quasiplanar.transform.lattice_from_filters`.
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -67,7 +69,7 @@ def lattice_tables(d):
 
 
 # One definition each: jir (mir) have one lower (upper) cover, so not the bottom
-# (top); nar are comparable with all.  Split so that jir and mir read no order masks.
+# (top); nar are comparable with all.  Split so that none reads the order masks.
 
 
 def _jir(d):
@@ -79,16 +81,32 @@ def _mir(d):
 
 
 def _nar(d):
-    full = (1 << d.n) - 1
-    return frozenset(x for x in range(d.n) if d.up[x] | d.dn[x] == full)
+    # nothing lies left of a left chain member, nothing right of a right
+    # chain member (see _cover_walks), so the members of both are the
+    # elements comparable with all
+    left, right = _cover_walks(d)
+    return frozenset(left).intersection(right)
 
 
 def _cover_walks(d):
+    """The leftmost and the rightmost maximal chain, each bottom to top.
+
+    The leftmost upper cover of x is the first element after x in the
+    left-to-right sweep with a larger reverse position: it lies above x,
+    whatever sweeps between them is not above x, and every other cover
+    comes later.  So the left chain is the run of new reverse-position
+    maxima along the left-to-right sweep, and the right chain the same
+    with the two sweeps swapped.  The left chain's members are thus the
+    elements with nothing to their left, the right chain's those with
+    nothing to their right.
+    """
     chains = []
-    for pick in (min, max):  # the leftmost, then the rightmost cover
-        chain = [d.bottom]
-        while chain[-1] != d.top:
-            chain.append(pick(bits(d.upcov[chain[-1]]), key=d.lam_pos.__getitem__))
+    for order, pos in ((d.lam_order, d.rho_pos), (d.rho_order, d.lam_pos)):
+        chain, high = [], -1
+        for x in order:
+            if pos[x] > high:
+                chain.append(x)
+                high = pos[x]
         chains.append(tuple(chain))
     return tuple(chains)
 
@@ -236,24 +254,43 @@ class SupportData:
     rds: tuple[int, ...]
 
 
-def _heights(up, chain):
-    """How many members of ``chain`` lie at or below each element, by ``up``."""
-    return [sum(up[c] >> x & 1 for c in chain) for x in range(len(up))]
+def _support_on(d, chain):
+    """Each element's support on a boundary chain: the highest member below
+    it.  The chain rises in both sweeps, so the members below x are the
+    shorter of its two prefixes that come before x in one sweep each."""
+    lams = [d.lam_pos[c] for c in chain]
+    rhos = [d.rho_pos[c] for c in chain]
+    return tuple(
+        chain[min(bisect(lams, lam), bisect(rhos, rho)) - 1]
+        for lam, rho in zip(d.lam_pos, d.rho_pos)
+    )
+
+
+def _first_from(members, order):
+    """``first[x]``: the first of ``members`` at or after x in the sweep
+    ``order``, or None where there is none."""
+    first, last = [None] * len(order), None
+    for x in reversed(order):
+        if x in members:
+            last = x
+        first[x] = last
+    return tuple(first)
 
 
 def _supports(d):
-    lsp, rsp = (
-        tuple(chain[h - 1] for h in _heights(d.up, chain))
-        for chain in _cover_walks(d)
+    # Past the gate d is drawn as the pair lattice of alpha: each x is a
+    # weak left pair (a, b) of alpha, and the meet-irreducibles with the
+    # top are the pairs (q, q).  x's dual supports, the leftmost and the
+    # rightmost minimal of those above x, are the first of them above x in
+    # each sweep (see transform._pair_key).  The sweeps sort the pairs by
+    # the positions of (a, b) and of (b, a), so the first (q, q) at or
+    # after x in them is (a, a) and (b, b), both above x.
+    members = _mir(d) | {d.top}
+    return SupportData(
+        *(_support_on(d, chain) for chain in _cover_walks(d)),
+        _first_from(members, d.lam_order),
+        _first_from(members, d.rho_order),
     )
-    mir_mask = sum(1 << m for m in _mir(d))
-    lds, rds = [], []
-    for x in range(d.n):
-        # the top is its own dual support
-        mins = [x] if x == d.top else _minimal_in(d, d.up[x] & mir_mask)
-        lds.append(min(mins, key=d.lam_pos.__getitem__))
-        rds.append(max(mins, key=d.lam_pos.__getitem__))
-    return SupportData(lsp, rsp, tuple(lds), tuple(rds))
 
 
 def irredundant_meet_representations(d, t, x):

@@ -33,7 +33,6 @@ from .diagram import (
     _chain_members,
     _checked,
     _dominance_diagram,
-    _maximal_in,
     _minimal_in,
     _order,
     _oriented,
@@ -51,7 +50,7 @@ from .errors import (
     NotSlimSemimodular,
 )
 from .lattice import (
-    _cover_walks, _heights, _jir, _mir, _nar, _slim_semimodular_tables, _supports,
+    _cover_walks, _jir, _mir, _nar, _slim_semimodular_tables, _supports,
     interval_subdiagram, lattice_tables,
 )
 
@@ -106,7 +105,10 @@ class FilterFamily:
     the label order used by :func:`lattice_from_filters`.  ``left_chain``
     and ``right_chain`` run from the full ground set down to the singleton
     top, shrinking by one element per step; ``left_steps[i]`` is the
-    element removed from ``left_chain[i]``, dually for the right.  Under
+    element removed from ``left_chain[i]``, dually for the right.  The left
+    steps are the right-to-left sweep without its two ends, and
+    ``left_chain[i]`` is that sweep from position i + 1 on; the right
+    peeling reads the left-to-right sweep (see :func:`_peel`).  Under
     reverse inclusion the chains are the two boundary chains of the filter
     lattice.
     """
@@ -123,23 +125,18 @@ def _peel(d, leftmost):
 
     Each step adds a maximal element of the complement: the leftmost one
     for the left peeling, the rightmost for the right peeling.  Returns the
-    shrinking chain (ground set first) and the removed elements in step
-    order.
+    shrinking chain as masks (ground set first) and the removed elements
+    in step order.
+
+    The leftmost maximal element of a set is its last one in the
+    right-to-left sweep: nothing later there lies above it, and each other
+    maximal element, incomparable to it and earlier in that sweep, lies to
+    its right.  So the left peeling adds that sweep backwards, the bottom
+    and top left out, and its chain is the sweep's suffixes from position
+    1 on; the right peeling does the same on the left-to-right sweep.
     """
-    ground = _ground_mask(d)
-    chain = [1 << d.top]
-    steps = []
-    while chain[-1] != ground:
-        rest = ground & ~chain[-1]
-        choices = _maximal_in(d, rest)
-        pick = (min if leftmost else max)(
-            choices, key=d.lam_pos.__getitem__
-        )
-        steps.append(pick)
-        chain.append(chain[-1] | (1 << pick))
-    chain.reverse()
-    steps.reverse()
-    return chain, steps
+    pos, order = (d.rho_pos, d.rho_order) if leftmost else (d.lam_pos, d.lam_order)
+    return _suffix_masks(pos)[1:d.n], list(order[1:-1])
 
 
 def _pair_filters(d):
@@ -178,9 +175,11 @@ def hco_closure(d, elements):
     """The smallest horizontally convex filter containing ``elements``.
 
     That is the filter of the weak left pair (leftmost, rightmost minimal
-    element of ``elements``), the quadrant after its legs: it holds both,
-    hence every minimal element between them and everything above.  The
-    closure of no elements is {top}, the filter of the pair (top, top).
+    element of ``elements``), which :func:`_pair_key` reads as the first
+    element in each sweep, so the closure is the quadrant at and after
+    those two sweep positions: it holds both, hence every minimal element
+    between them and everything above.  The closure of no elements is
+    {top}, the filter of the pair (top, top).
     """
     _check_distinct_ends(d)
     elems = {_ground_element(d, e) for e in elements}
@@ -208,14 +207,15 @@ def min_between(d, x, y):
 
 
 def _pair_key(d, fset):
-    """The (leftmost, rightmost) minimal elements of ``fset``."""
-    m = 0
-    for e in fset:
-        m |= 1 << e
-    mins = _minimal_in(d, m)
-    lmost = min(mins, key=d.lam_pos.__getitem__)
-    rmost = max(mins, key=d.lam_pos.__getitem__)
-    return lmost, rmost
+    """The (leftmost, rightmost) minimal elements of ``fset``.
+
+    Nothing in ``fset`` comes before its first element of the
+    left-to-right sweep in both sweeps, so that element is minimal, and
+    every other minimal element comes later in that sweep: it is the
+    leftmost.  Dually its first element of the right-to-left sweep is the
+    rightmost.
+    """
+    return min(fset, key=d.lam_pos.__getitem__), min(fset, key=d.rho_pos.__getitem__)
 
 
 def lattice_from_pairs_labeled(d):
@@ -379,6 +379,11 @@ def lattice_isomorphic(d1, d2):
         if not (similar(block1, block2) or similar(block1, mirror(block2))):
             return False
     return True
+
+
+def _heights(up, chain):
+    """How many members of ``chain`` lie at or below each element, by ``up``."""
+    return [sum(up[c] >> x & 1 for c in chain) for x in range(len(up))]
 
 
 def diagram_from_chains(n, covers, left_chain, right_chain):

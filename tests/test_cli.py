@@ -142,6 +142,14 @@ def test_enumerate_writes_one_file_per_diagram(cli, tmp_path):
     assert texts == [line + "\n" for line in ENUM4_LINES]
 
 
+def test_enumerate_refuses_a_bad_size_before_making_the_directory(cli, tmp_path):
+    out_dir = tmp_path / "docs"
+    code, out, err = cli("enumerate", "--size", "1", "--out", str(out_dir))
+    assert (code, out) == (1, "")
+    assert err == "ValueError: size must be an integer >= 2, got 1\n"
+    assert not out_dir.exists()
+
+
 def test_count_reports_the_factorial(cli):
     code, out, err = cli("count", "--size", "7")
     assert code == 0

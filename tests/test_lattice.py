@@ -293,6 +293,31 @@ def test_tables_are_built_once_per_diagram_instance(monkeypatch):
     assert len(built) == 4
 
 
+def test_constructions_past_the_gate_build_no_order_masks(monkeypatch):
+    # the walks, supports, narrows, peelings and pair keys read their
+    # extremes off the sweep positions, so no order mask is built
+    built = []
+    for name in ("up", "dn"):
+        field = vars(qp.Diagram)[name]
+        real = field.build
+        monkeypatch.setattr(field, "build", lambda d, real=real: built.append(d) or real(d))
+    q = qp.from_canonical(random.Random(30).sample(range(1, 29), 28))
+    d = qp.lattice_from_filters(q)
+    lc, rc = qp.boundary_chains(d)
+    sup = qp.supports(d)
+    assert qp.lattice_isomorphic(d, qp.Diagram(d.lam_pos, d.rho_pos))
+    assert qp.similar(qp.to_quasiplanar(d), q)
+    fam = qp.enumerate_hco_filters(q)
+    to_filter, to_pair = qp.pair_filter_maps(q)
+    assert qp.hco_closure(q, fam.left_steps[-1:]) == fam.left_chain[-2]
+    assert built == []
+    assert (lc[0], lc[-1], rc[0], rc[-1]) == (d.bottom, d.top, d.bottom, d.top)
+    assert all(d.leq(sup.lsp[x], x) and d.leq(x, sup.lds[x]) for x in range(d.n))
+    assert all(to_filter[to_pair[f]] == f for f in fam.filters)
+    # the count sees a build
+    assert d.up[d.bottom] == (1 << d.n) - 1 and built == [d]
+
+
 def test_boundary_chains_builds_the_tables_once_and_names_nothing(monkeypatch):
     # the certificate's verdict gates the walk; a refused d builds its
     # tables once, so a non-lattice fails as lattice_tables does

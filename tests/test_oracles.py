@@ -13,7 +13,9 @@ all-pairs ``validate`` that read the order twice, the pair-list loop
 that checked each component in turn, the backtracking solver that
 oriented a bare order before implication classes did, and the
 ``diagram_from_chains`` that oriented the order and built its tables
-before drawing from the support heights.
+before drawing from the support heights, and the mask scans that found
+the extremes of the peelings, pair keys, boundary walks, supports and
+narrows before they were read off the sweeps.
 """
 
 import json
@@ -516,6 +518,102 @@ def test_hco_closure_is_the_intersection_of_the_filters_holding_it():
                     ), (qp.canonical_form(q), elems)
                     checked += 1
     assert checked == 5776
+
+
+# -- the extremes off the sweeps against the mask scans they replaced -------
+
+
+def _peel_by_masks(d, leftmost):
+    """The peeling that picked, per step, the leftmost (rightmost) of the
+    maximal elements of the complement, found by an up-mask scan."""
+    ground = _ground_mask(d)
+    chain = [1 << d.top]
+    steps = []
+    while chain[-1] != ground:
+        choices = diagram._maximal_in(d, ground & ~chain[-1])
+        pick = (min if leftmost else max)(choices, key=d.lam_pos.__getitem__)
+        steps.append(pick)
+        chain.append(chain[-1] | (1 << pick))
+    chain.reverse()
+    steps.reverse()
+    return chain, steps
+
+
+def _pair_key_by_masks(d, fset):
+    """The minimal elements of ``fset`` by a down-mask scan, then the
+    leftmost and the rightmost of them."""
+    mins = diagram._minimal_in(d, sum(1 << e for e in fset))
+    return min(mins, key=d.lam_pos.__getitem__), max(mins, key=d.lam_pos.__getitem__)
+
+
+def _cover_walks_by_masks(d):
+    """Walk up from the bottom along the leftmost, then the rightmost,
+    upper cover in the cover masks."""
+    chains = []
+    for pick in (min, max):
+        chain = [d.bottom]
+        while chain[-1] != d.top:
+            chain.append(pick(bits(d.upcov[chain[-1]]), key=d.lam_pos.__getitem__))
+        chains.append(tuple(chain))
+    return tuple(chains)
+
+
+def _supports_by_masks(d):
+    """Supports at each element's height on the chains, counted in the up
+    masks; dual supports the leftmost and rightmost minimal elements of the
+    meet-irreducibles above it."""
+    lsp, rsp = (
+        tuple(chain[sum(d.up[c] >> x & 1 for c in chain) - 1] for x in range(d.n))
+        for chain in _cover_walks_by_masks(d)
+    )
+    mir_mask = sum(1 << m for m in lattice._mir(d))
+    lds, rds = [], []
+    for x in range(d.n):
+        mins = [x] if x == d.top else diagram._minimal_in(d, d.up[x] & mir_mask)
+        lds.append(min(mins, key=d.lam_pos.__getitem__))
+        rds.append(max(mins, key=d.lam_pos.__getitem__))
+    return lattice.SupportData(lsp, rsp, tuple(lds), tuple(rds))
+
+
+def _nar_by_masks(d):
+    full = (1 << d.n) - 1
+    return frozenset(x for x in range(d.n) if d.up[x] | d.dn[x] == full)
+
+
+def _assert_extremes_match_the_masks(d, lattice_diagram):
+    for leftmost in (True, False):
+        assert transform._peel(d, leftmost) == _peel_by_masks(d, leftmost), d
+    for f in qp.enumerate_hco_filters(d).filters:
+        assert transform._pair_key(d, f) == _pair_key_by_masks(d, f), (d, f)
+    assert lattice._cover_walks(d) == _cover_walks_by_masks(d), d
+    assert lattice._nar(d) == _nar_by_masks(d), d
+    if lattice_diagram:
+        assert lattice._supports(d) == _supports_by_masks(d), d
+
+
+def test_extremes_off_the_sweeps_match_the_mask_scans():
+    lattices = 0
+    for size in range(2, 9):
+        for q in qp.enumerate_quasiplanar(size):
+            for d in (q, qp.relabel(q, tuple(reversed(range(size)))), qp.mirror(q)):
+                # most diagrams are no lattices: no supports for them
+                _assert_extremes_match_the_masks(d, False)
+                for lat in (qp.lattice_from_pairs(d), qp.lattice_from_filters(d)):
+                    backwards = tuple(reversed(range(lat.n)))
+                    for m in (lat, qp.relabel(lat, backwards)):
+                        if m.n > 1:
+                            _assert_extremes_match_the_masks(m, True)
+                            lattices += 1
+    # beta1 and beta2 of three labelings of every diagram of sizes 3-8,
+    # plain and relabeled; a one-element lattice has no filters to peel
+    assert lattices == 2 * 2 * 3 * 873
+
+
+def test_boundary_walks_of_non_slim_lattices_match_the_mask_walk():
+    # past lattice_tables, boundary_chains still walks what the tables accept
+    for d in (qp.three_atom_diamond(), _two_chains(3)):
+        assert qp.is_lattice(d) and not (qp.is_slim(d) and qp.is_semimodular(d))
+        assert qp.boundary_chains(d) == _cover_walks_by_masks(d)
 
 
 # -- the lattice tables against the minimal-bounds search ------------------
