@@ -2,7 +2,8 @@
 
 Results go to stdout as JSON (DOT text for render); diagnostics go to
 stderr.  Exit codes: 0 success, 1 unusable input (including unmet
-preconditions), 2 a verification that ran and failed, 3 usage errors.
+preconditions), 2 a verification that ran and failed, 3 usage errors,
+130 an interrupt.
 """
 
 from __future__ import annotations
@@ -11,14 +12,11 @@ import argparse
 import functools
 import os
 import sys
+from contextlib import closing
+from itertools import chain
 
-from .diagram import canonical_form, canonical_relabel, similar
-from .enumeration import (
-    count_quasiplanar,
-    enumerate_quasiplanar,
-    expected_count,
-    verify_suite,
-)
+from .diagram import canonical_form, canonical_relabel, from_canonical, similar
+from .enumeration import _rank_blocks, count_quasiplanar, expected_count, verify_suite
 from .io import _COMPACT, parse, render_dot, serialize
 from .transform import _rebuilt, lattice_from_filters, lattice_from_pairs, to_quasiplanar
 
@@ -76,21 +74,28 @@ def _cmd_roundtrip(d, args):
     return ok
 
 
+def _documents(perms):
+    return [serialize(from_canonical(p)) for p in perms]
+
+
 def _cmd_enumerate(args):
-    docs = (serialize(d) for d in enumerate_quasiplanar(args.size))
-    if args.out is None:
-        for text in docs:
-            print(text)
-        return
-    total = expected_count(args.size)  # refuses a bad size before DIR is made
-    os.makedirs(args.out, exist_ok=True)
-    width = len(str(max(total - 1, 0)))
-    count = 0
-    for i, text in enumerate(docs):
-        name = f"q{args.size}-{i:0{width}d}.json"
-        with open(os.path.join(args.out, name), "w", encoding="utf-8") as f:
-            f.write(text + "\n")
-        count += 1
+    # the blocks run over every CPU and come back in rank order; the size
+    # is checked here, before DIR is made
+    blocks = _rank_blocks(args.size, _documents)
+    with closing(blocks):
+        docs = chain.from_iterable(blocks)
+        if args.out is None:
+            for text in docs:
+                print(text)
+            return
+        width = len(str(max(expected_count(args.size) - 1, 0)))
+        os.makedirs(args.out, exist_ok=True)
+        count = 0
+        for i, text in enumerate(docs):
+            name = f"q{args.size}-{i:0{width}d}.json"
+            with open(os.path.join(args.out, name), "w", encoding="utf-8") as f:
+                f.write(text + "\n")
+            count += 1
     _emit({"size": args.size, "count": count, "out": args.out})
 
 
@@ -192,6 +197,9 @@ def main(argv=None):
     except (ValueError, OSError) as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
     return 2 if held is False else 0
 
 

@@ -7,7 +7,9 @@ of its incomparable pairs, keep the valid ones, and group them by explicit
 bijection search, never consulting canonical forms.  ``verify_suite`` runs
 a battery of named structural laws over every diagram of a size, split
 into one share of the canonical ranks per available CPU, and returns
-failures as data rather than raising.
+failures as data rather than raising.  ``count_quasiplanar`` and CLI
+``enumerate`` run the ranks in fixed-size blocks over every CPU, through
+the same forking loop, ``_in_blocks``.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import pickle
 import signal
 import threading
 import time
+from contextlib import closing, contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, islice, permutations
@@ -83,8 +86,194 @@ def enumerate_quasiplanar(size):
 
 
 def count_quasiplanar(size):
-    """Count the similarity classes of a size by actually enumerating them."""
-    return sum(1 for _ in enumerate_quasiplanar(size))
+    """Count the similarity classes of a size by actually enumerating them.
+
+    Every diagram is decoded, in blocks of canonical ranks run over every
+    CPU this process may use (:func:`_in_blocks`; ``taskset -c 0`` gives
+    one process), and each process holds at most one block.
+    """
+    return sum(_rank_blocks(size, _decoded))
+
+
+def _decoded(perms):
+    return sum(1 for _ in map(from_canonical, perms))
+
+
+# -- blocks of ranks over every CPU -----------------------------------------
+
+# ranks per block of count_quasiplanar and CLI enumerate: at size 10 a
+# block's documents pickle to about 200 kB, past a pipe's 64 kB buffer
+_BLOCK = 1024
+
+
+def _cpus():
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _processes(size, blocks):
+    """How many processes share ``blocks`` blocks of a size's ranks.
+
+    One, the caller, below size 7 (24 diagrams or fewer), without
+    ``os.fork``, with a second thread alive (forking it is unsafe), or on
+    one CPU; else one per CPU, but no more than there are blocks.
+    """
+    forkable = size >= 7 and hasattr(os, "fork") and threading.active_count() == 1
+    return min(_cpus(), blocks) if forkable else 1
+
+
+def _rank_blocks(size, work):
+    """:func:`_in_blocks` over all ranks of a size, ``_BLOCK`` to a block.
+
+    The size is checked at the call, before any block runs.
+    """
+    total = expected_count(size)
+    blocks = [(lo, min(lo + _BLOCK, total)) for lo in range(0, total, _BLOCK)]
+    return _in_blocks(size, blocks, work, "the enumeration's block")
+
+
+def _walk(size, blocks, work):
+    """Yield ``work`` of each block's permutations, for ascending blocks.
+
+    One ``permutations`` iterator walks past the ranks between the blocks;
+    ``work`` consumes each block's iterator to its end.
+    """
+    perms = permutations(range(1, size - 1))
+    at = 0
+    for lo, hi in blocks:
+        next(islice(perms, lo - at, lo - at), None)
+        yield work(islice(perms, hi - lo))
+        at = hi
+
+
+@contextmanager
+def _no_interrupt():
+    """Hold SIGINT pending while the body runs."""
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        yield
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+
+
+def _fork_walk(size, blocks, work, siblings):
+    """Walk ``blocks`` in a forked child; returns its pid and its pipe's read end.
+
+    The child first closes its copies of the pipes of the children forked
+    before it, so the caller is the one reader of every pipe, and a child
+    whose pipe the caller closes fails its next write.  It sends each
+    block's result as its pickle's length in 8 little-endian bytes, then
+    the pickle, and leaves through ``os._exit``, with status 0 only once
+    all are written.
+    """
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                os.close(r)
+                for _, pipe in siblings:
+                    pipe.close()
+                with open(w, "wb") as out:
+                    for result in _walk(size, blocks, work):
+                        data = pickle.dumps(result)
+                        out.write(len(data).to_bytes(8, "little"))
+                        out.write(data)
+                        out.flush()
+                status = 0
+            finally:
+                os._exit(status)
+    except OSError:
+        os.close(r)
+        raise
+    finally:
+        os.close(w)
+    return pid, open(r, "rb")
+
+
+def _reaped(child):
+    """Close a child's pipe and wait for it; returns its exit status."""
+    pid, pipe = child
+    pipe.close()
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+
+def _in_blocks(size, blocks, work, what):
+    """Yield ``work`` of each of ``blocks`` in order, run over every CPU.
+
+    ``blocks`` are ascending ranges ``[lo, hi)`` of a size's canonical
+    ranks, and ``work`` maps an iterator over a block's permutations to a
+    picklable result.  With k processes (:func:`_processes`), block i runs
+    in process i mod k: the caller runs blocks 0, k, 2k, ... itself and a
+    forked child each other residue, each process walking one
+    ``permutations`` iterator past the blocks of the others.  The caller
+    reads the pipes in block order and a child's write blocks while its
+    pipe is full, so each process holds at most one block's result and the
+    results come in the order, and with the values, of a one-process run.
+
+    A child that exits non-zero or sends a truncated result raises
+    ShareFailed naming ``what`` and the block's ranks.  On every way out,
+    an early close of this generator included, each child not yet reaped
+    is killed and reaped, with SIGINT held pending until it is.  The
+    children are forked with SIGINT blocked and keep it blocked, so an
+    interrupt never unwinds a child into the caller's code.
+    """
+    k = _processes(size, len(blocks))
+    mine = _walk(size, blocks[::k], work)
+    children = {}  # residue -> (pid, pipe) of each child not yet reaped
+    try:
+        if k > 1:
+            with _no_interrupt():
+                for j in range(1, k):
+                    children[j] = _fork_walk(size, blocks[j::k], work, children.values())
+        for i, block in enumerate(blocks):
+            if i % k:
+                yield _received(children, i % k, block, i + k >= len(blocks), what)
+            else:
+                yield next(mine)
+    finally:
+        if children:
+            with _no_interrupt():
+                for pid, _ in children.values():
+                    os.kill(pid, signal.SIGKILL)
+                for child in children.values():
+                    _reaped(child)
+
+
+def _received(children, j, block, last, what):
+    """The result child j sends for ``block``.
+
+    The child is reaped after its last block, when its pipe ends short, and
+    when its result does not unpickle.
+    """
+    pipe = children[j][1]
+    head = pipe.read(8)
+    length = int.from_bytes(head, "little")
+    data = pipe.read(length) if len(head) == 8 else b""
+    got = len(head) + len(data)
+    whole = got == 8 + length
+    status = _reaped(children.pop(j)) if last or not whole else None
+    lo, hi = block
+    if status:
+        raise ShareFailed(
+            f"{what} of ranks [{lo}, {hi}) ended with exit status {status}",
+            block, status,
+        )
+    try:
+        if whole:
+            return pickle.loads(data)
+    except (pickle.UnpicklingError, EOFError):
+        pass
+    if status is None:  # a whole message that does not unpickle
+        status = _reaped(children.pop(j))
+    raise ShareFailed(
+        f"{what} of ranks [{lo}, {hi}) sent a truncated result of {got} bytes "
+        f"and ended with exit status {status}", block, status,
+    )
 
 
 # -- the independent oracle -----------------------------------------------
@@ -764,23 +953,12 @@ def check_names():
     return tuple(name for name, _ in _CHECKS)
 
 
-def _cpus():
-    """How many CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _shares(size, total):
     """Contiguous ranges ``[lo, hi)`` of ranks, one per process of the suite.
 
-    One range, run in-process, below size 7 (24 diagrams or fewer), without
-    ``os.fork``, with a second thread alive (forking it is unsafe), or on one
-    CPU.
+    As many as :func:`_processes` gives for ``total`` one-rank blocks.
     """
-    forkable = size >= 7 and hasattr(os, "fork") and threading.active_count() == 1
-    k = min(_cpus(), total) if forkable else 1
+    k = _processes(size, total)
     return [(i * total // k, (i + 1) * total // k) for i in range(k)]
 
 
@@ -793,8 +971,8 @@ def _fail(ledger, name, witness, more=0):
         entry[:] = witness, more
 
 
-def _run_share(size, lo, hi):
-    """Run every law over the diagrams of lexicographic rank lo <= r < hi.
+def _run_share(perms):
+    """Run every law over the diagrams of the canonical permutations ``perms``.
 
     Returns the number of diagrams, a ledger ``{law: [first witness, how
     many more failures followed]}``, and in rank order the ``(filter lattice
@@ -803,7 +981,7 @@ def _run_share(size, lo, hi):
     ledger = {name: ["", 0] for name in check_names()}
     keys = []
     count = 0
-    for perm in islice(permutations(range(1, size - 1)), lo, hi):
+    for perm in perms:
         count += 1
         ctx = _Ctx(from_canonical(perm))
         for name, fn in _CHECKS:
@@ -818,78 +996,6 @@ def _run_share(size, lo, hi):
     return count, ledger, keys
 
 
-def _fork_share(size, lo, hi):
-    """Run one share in a forked child; returns its pid and its pipe's read end.
-
-    The child pickles the share's result to the pipe and leaves through
-    ``os._exit``, with status 0 only once the whole result is written.
-    """
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-        if pid == 0:
-            status = 1
-            try:
-                os.close(r)
-                with open(w, "wb") as out:
-                    out.write(pickle.dumps(_run_share(size, lo, hi)))
-                status = 0
-            finally:
-                os._exit(status)
-    except OSError:
-        os.close(r)
-        raise
-    finally:
-        os.close(w)
-    return pid, open(r, "rb")
-
-
-def _run_shares(size, shares):
-    """The results of :func:`_run_share` over ``shares``, in share order.
-
-    The caller runs the first share itself and a forked child each other
-    one.  A child that exits non-zero or sends a truncated result raises
-    ShareFailed; on every way out, each child not yet reaped is killed and
-    reaped.  The children are forked with SIGINT blocked and keep it
-    blocked, so an interrupt never unwinds a child into the caller's code,
-    and reaches the caller only once every child is on the list.
-    """
-    children = []  # (lo, hi, pid, pipe) of each child not yet reaped
-    try:
-        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-        try:
-            for lo, hi in shares[1:]:
-                children.append((lo, hi, *_fork_share(size, lo, hi)))
-        finally:
-            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        outcomes = [_run_share(size, *shares[0])]
-        while children:
-            lo, hi, pid, pipe = children[0]
-            with pipe:
-                data = pipe.read()
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del children[0]
-            if status:
-                raise ShareFailed(
-                    f"the law suite's share of ranks [{lo}, {hi}) "
-                    f"ended with exit status {status}", (lo, hi), status,
-                )
-            try:
-                outcomes.append(pickle.loads(data))
-            except (pickle.UnpicklingError, EOFError) as e:
-                raise ShareFailed(
-                    f"the law suite's share of ranks [{lo}, {hi}) sent a truncated "
-                    f"result of {len(data)} bytes and ended with exit status {status}",
-                    (lo, hi), status,
-                ) from e
-        return outcomes
-    finally:
-        for _, _, pid, pipe in children:
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
 def verify_suite(size):
     """Run every law over every diagram of a size; failures become data.
 
@@ -899,9 +1005,10 @@ def verify_suite(size):
     distinct diagrams are pairwise dissimilar.
 
     On POSIX, from size 7 on, the diagrams are split into one contiguous
-    share of the canonical ranks per CPU this process may use: the caller
-    checks the first share and a forked child each other one (``taskset -c
-    0`` gives one process).  The report is the same as a one-process run's
+    share of the canonical ranks per CPU this process may use, run by
+    :func:`_in_blocks` as one block per process: the caller checks the
+    first share and a forked child each other one (``taskset -c 0`` gives
+    one process).  The report is the same as a one-process run's
     but for ``elapsed`` and ``processes``.  A child sends back only its
     share's ledger and lattice keys, so its own memory stays that of the
     caller at the fork plus one share's diagrams.  A child that dies or
@@ -913,16 +1020,18 @@ def verify_suite(size):
     ledger = {name: ["", 0] for name in (*check_names(), _DISSIMILAR)}
     count = 0
     perm_of_lattice = {}
-    for share_count, share_ledger, keys in _run_shares(size, shares):
-        count += share_count
-        for name, (first, more) in share_ledger.items():
-            if first:
-                _fail(ledger, name, first, more)
-        for key, perm in keys:
-            other = perm_of_lattice.setdefault(key, perm)
-            if other != perm:
-                _fail(ledger, _DISSIMILAR,
-                      f"perm {perm} and perm {other} share a filter lattice")
+    shared = _in_blocks(size, shares, _run_share, "the law suite's share")
+    with closing(shared):
+        for share_count, share_ledger, keys in shared:
+            count += share_count
+            for name, (first, more) in share_ledger.items():
+                if first:
+                    _fail(ledger, name, first, more)
+            for key, perm in keys:
+                other = perm_of_lattice.setdefault(key, perm)
+                if other != perm:
+                    _fail(ledger, _DISSIMILAR,
+                          f"perm {perm} and perm {other} share a filter lattice")
     results = tuple(
         CheckResult(name, not first, first + (f" (and {more} more)" if more else ""))
         for name, (first, more) in ledger.items()

@@ -5,7 +5,12 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
 import re
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -196,6 +201,32 @@ def test_usage_errors_exit_three(cli, q5_file):
     assert cli("render", q5_file, "--format", "svg")[0] == 3
     assert cli("enumerate")[0] == 3
     assert cli("beta", q5_file, "--variant", "3")[0] == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--size", "12"],
+    ["enumerate", "--size", "12"],
+    ["verify", "--size", "9"],
+], ids=["count", "enumerate", "verify"])
+def test_an_interrupt_exits_130_with_one_line(argv):
+    # the child names itself ready once the package is imported, so the
+    # interrupt lands inside main; each of these runs for many seconds
+    script = (
+        "import os, sys; from quasiplanar.cli import main; "
+        "os.write(int(sys.argv[1]), b'.'); sys.exit(main(sys.argv[2:]))"
+    )
+    r, w = os.pipe()
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script, str(w), *argv], pass_fds=(w,),
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+    )
+    os.close(w)
+    with open(r, "rb") as ready:
+        assert ready.read(1) == b"."
+    time.sleep(0.5)
+    proc.send_signal(signal.SIGINT)
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (130, "interrupted\n")
 
 
 def test_count_mismatch_exits_two(monkeypatch, capsys):

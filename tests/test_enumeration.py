@@ -4,13 +4,14 @@ import os
 import subprocess
 import sys
 import threading
-from itertools import combinations
+from itertools import combinations, islice, permutations
+from math import factorial
 from pathlib import Path
 
 import pytest
 
 import quasiplanar as qp
-from quasiplanar import enumeration, transform
+from quasiplanar import cli, enumeration, transform
 
 
 def test_expected_count_is_factorial():
@@ -547,3 +548,172 @@ def test_suite_runs_in_process_without_a_safe_fork(monkeypatch):
     monkeypatch.delattr(os, "fork")
     report = qp.verify_suite(7)
     assert report.processes == 1 and _same_report(report, single)
+
+
+# -- count and enumerate in blocks over processes --------------------------
+
+
+def _forks(monkeypatch):
+    """The pids of the children forked from here on."""
+    forked, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forked
+
+
+def _enumerated(monkeypatch, capsys, cpus, block, *args):
+    """In-process CLI ``enumerate`` as if on ``cpus`` CPUs with ``block`` ranks
+    to a block; returns (exit code, stdout, stderr)."""
+    with monkeypatch.context() as m:
+        m.setattr(enumeration, "_cpus", lambda: cpus)
+        m.setattr(enumeration, "_BLOCK", block)
+        code = cli.main(["enumerate", *args])
+    return (code, *capsys.readouterr())
+
+
+def _rank(size, r):
+    return next(islice(permutations(range(1, size - 1)), r, None))
+
+
+def _decoding(monkeypatch, module, perm, in_caller, effect):
+    """Make ``module.from_canonical(perm)`` call ``effect`` in the caller or in a child."""
+    caller, real = os.getpid(), module.from_canonical
+
+    def decode(p):
+        if p == perm and (os.getpid() == caller) == in_caller:
+            effect()
+        return real(p)
+
+    monkeypatch.setattr(module, "from_canonical", decode)
+
+
+def test_split_enumerate_prints_what_one_process_does(monkeypatch, capsys):
+    # seven ranks to a block gives each process several blocks, with skips
+    # between them and a short last block, from size 7 on
+    forked = _forks(monkeypatch)
+    for size in range(2, 9):
+        for block in (7, enumeration._BLOCK):
+            argv = ("--size", str(size))
+            single = _enumerated(monkeypatch, capsys, 1, block, *argv)
+            assert forked == []
+            split = _enumerated(monkeypatch, capsys, 3, block, *argv)
+            assert single[0] == 0 and single[2] == "" and split == single
+            blocks = -(-factorial(size - 2) // block)
+            assert len(forked) == (min(3, blocks) - 1 if size >= 7 else 0)
+            forked.clear()
+    assert _no_child_left()
+
+
+@pytest.mark.slow
+def test_split_enumerate_prints_what_one_process_does_at_size_nine(monkeypatch, capsys):
+    forked = _forks(monkeypatch)
+    block = enumeration._BLOCK
+    single, split = (_enumerated(monkeypatch, capsys, k, block, "--size", "9") for k in (1, 3))
+    assert single[0] == 0 and split == single and len(forked) == 2
+    assert _no_child_left()
+
+
+def test_split_enumerate_writes_the_same_files(monkeypatch, capsys, tmp_path):
+    files = []
+    for cpus in (1, 3):
+        out = tmp_path / str(cpus)
+        code, text, err = _enumerated(monkeypatch, capsys, cpus, 7, "--size", "8", "--out", str(out))
+        assert (code, err) == (0, "")
+        assert text == f'{{"size":8,"count":720,"out":"{out}"}}\n'
+        files.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert files[0] == files[1] and len(files[0]) == 720
+    assert _no_child_left()
+
+
+def test_split_count_counts_what_one_process_does(monkeypatch):
+    forked = _forks(monkeypatch)
+    monkeypatch.setattr(enumeration, "_BLOCK", 7)
+    monkeypatch.setattr(enumeration, "_cpus", lambda: 3)
+    assert [qp.count_quasiplanar(s) for s in range(2, 9)] == [
+        factorial(s - 2) for s in range(2, 9)
+    ]
+    assert len(forked) == 4
+    assert _no_child_left()
+
+
+def test_a_child_dying_mid_block_raises_and_leaves_no_child(monkeypatch, capsys):
+    # three processes, ten ranks to a block: block 4, ranks [40, 50), is the
+    # first child's second, and the child dies at rank 45
+    _decoding(monkeypatch, cli, _rank(7, 45), False, lambda: os._exit(3))
+    with pytest.raises(qp.ShareFailed) as exc:
+        _enumerated(monkeypatch, capsys, 3, 10, "--size", "7")
+    assert (exc.value.ranks, exc.value.status) == ((40, 50), 3)
+    assert str(exc.value) == (
+        "the enumeration's block of ranks [40, 50) ended with exit status 3"
+    )
+    # the blocks before it were printed in rank order
+    assert capsys.readouterr().out == "".join(
+        qp.serialize(d) + "\n" for d in islice(qp.enumerate_quasiplanar(7), 40)
+    )
+    assert _no_child_left()
+
+
+def test_a_truncated_block_raises_and_leaves_no_child(monkeypatch, capsys):
+    real = enumeration.pickle.dumps
+    monkeypatch.setattr(enumeration.pickle, "dumps", lambda obj: real(obj)[:-7])
+    with pytest.raises(qp.ShareFailed) as exc:
+        _enumerated(monkeypatch, capsys, 3, 10, "--size", "7")
+    assert exc.value.ranks == (10, 20)
+    assert str(exc.value).startswith(
+        "the enumeration's block of ranks [10, 20) sent a truncated result of "
+    )
+    assert _no_child_left()
+
+
+def _interrupt():
+    raise KeyboardInterrupt
+
+
+def test_an_interrupted_enumeration_kills_and_reaps_its_children(monkeypatch, capsys):
+    # rank 35 is in block 3, the caller's second
+    _decoding(monkeypatch, cli, _rank(7, 35), True, _interrupt)
+    code, out, err = _enumerated(monkeypatch, capsys, 3, 10, "--size", "7")
+    assert (code, out.count("\n"), err) == (130, 30, "interrupted\n")
+    assert _no_child_left()
+
+
+def test_an_interrupted_count_kills_and_reaps_its_children(monkeypatch):
+    _decoding(monkeypatch, enumeration, _rank(7, 35), True, _interrupt)
+    monkeypatch.setattr(enumeration, "_BLOCK", 10)
+    monkeypatch.setattr(enumeration, "_cpus", lambda: 3)
+    with pytest.raises(KeyboardInterrupt):
+        qp.count_quasiplanar(7)
+    assert _no_child_left()
+
+
+class _Stops:
+    """A stdout that raises ``error`` on writing its ``lines``-th line end."""
+
+    def __init__(self, error, lines):
+        self.error, self.lines = error, lines
+
+    def write(self, s):
+        self.lines -= s == "\n"
+        if not self.lines:
+            raise self.error
+        return len(s)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("error, code, err", [
+    (BrokenPipeError(32, "Broken pipe"), 1, "BrokenPipeError: [Errno 32] Broken pipe\n"),
+    (KeyboardInterrupt(), 130, "interrupted\n"),
+], ids=["closed", "interrupted"])
+def test_a_closed_or_interrupted_stdout_leaves_no_child(monkeypatch, capsys, error, code, err):
+    # line 15 is in block 1, a child's; the generator is left suspended
+    monkeypatch.setattr(sys, "stdout", _Stops(error, 15))
+    assert _enumerated(monkeypatch, capsys, 3, 10, "--size", "7") == (code, "", err)
+    assert _no_child_left()
