@@ -2,8 +2,8 @@
 
 Results go to stdout as JSON (DOT text for render); diagnostics go to
 stderr.  Exit codes: 0 success, 1 unusable input (including unmet
-preconditions), 2 a verification that ran and failed, 3 usage errors,
-130 an interrupt.
+preconditions) or a child process that failed, 2 a verification that ran
+and failed, 3 usage errors, 130 an interrupt.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from itertools import chain
 
 from .diagram import canonical_form, canonical_relabel, from_canonical, similar
 from .enumeration import _rank_blocks, count_quasiplanar, expected_count, verify_suite
+from .errors import ShareFailed
 from .io import _COMPACT, parse, render_dot, serialize
 from .transform import _rebuilt, lattice_from_filters, lattice_from_pairs, to_quasiplanar
 
@@ -194,7 +195,7 @@ def main(argv=None):
             held = args.fn(parse(_read(args.file)), args)
         else:
             held = args.fn(args)
-    except (ValueError, OSError) as e:
+    except (ValueError, OSError, ShareFailed) as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:

@@ -89,15 +89,6 @@ def _pairs(codes, n):
     return tuple(list(map(divmod, codes, repeat(n))))
 
 
-def _cover_masks(d):
-    """The upper and lower cover masks of ``d``, from its cover pairs."""
-    upcov, dncov = [0] * d.n, [0] * d.n
-    for x, y in d.cover_pairs():
-        upcov[x] |= 1 << y
-        dncov[y] |= 1 << x
-    return {"upcov": tuple(upcov), "dncov": tuple(dncov)}
-
-
 class _Derived:
     """A field of a Diagram computed with its group on first read, then kept.
 
@@ -138,12 +129,11 @@ class Diagram:
 
     * ``lam_order``/``rho_order``, the elements in each sweep's order;
     * ``up[x]``/``dn[x]``, the bitmasks of the elements >= x / <= x, x
-      included: O(n²) bits, built together on the first read of either;
-    * ``upcov``/``dncov``, the cover masks, folded from :meth:`cover_pairs`.
+      included: O(n²) bits, built together on the first read of either.
 
-    So comparing, hashing, the queries, canonical forms and the pair lists
-    cost no masks.  Instances are hashable values, safe to share and to
-    use as dict keys.
+    So comparing, hashing, the queries, canonical forms, the pair lists and
+    the extreme covers (see :mod:`quasiplanar.lattice`) cost no masks.
+    Instances are hashable values, safe to share and to use as dict keys.
 
     ``Diagram(lam_pos, rho_pos)`` is the only constructor.  It raises
     NotLinearizable unless both arguments are permutations of 0..n-1 and
@@ -165,8 +155,6 @@ class Diagram:
     rho_order = _Derived(_sweep_orders)
     up = _Derived(_order_masks)
     dn = _Derived(_order_masks)
-    upcov = _Derived(_cover_masks)
-    dncov = _Derived(_cover_masks)
 
     def __post_init__(self):
         lam, rho = tuple(self.lam_pos), tuple(self.rho_pos)
@@ -585,6 +573,9 @@ def _dominance_diagram(keys):
 
 def maximal_chains(d):
     """All maximal chains, bottom to top, as tuples of elements."""
+    succ = [[] for _ in range(d.n)]
+    for x, y in d.cover_pairs():
+        succ[x].append(y)
     chains = []
     stack = [(d.bottom,)]
     while stack:
@@ -592,7 +583,7 @@ def maximal_chains(d):
         if chain[-1] == d.top:
             chains.append(chain)
             continue
-        for y in bits(d.upcov[chain[-1]]):
+        for y in succ[chain[-1]]:
             stack.append(chain + (y,))
     return chains
 

@@ -2,9 +2,9 @@
 
 Operation tables, the structural predicates (semimodular, slim,
 join-distributive) with the table verdict naming why a diagram is not slim
-semimodular, the boundary walks, supports and narrows read off the sweep
-positions past the gate, meet representations and intervals.  The gate and
-the functions that go through it live with its certificate in
+semimodular, the extreme covers, irreducibles, boundary walks, supports and
+narrows read off the sweep positions, meet representations and intervals.
+The gate and the functions that go through it live with its certificate in
 :mod:`quasiplanar.transform`, which imports this module, never the other
 way round.
 
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from bisect import bisect
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, groupby
 
 from .diagram import (
     _dominance_diagram,
@@ -36,7 +36,8 @@ class LatticeTables:
 
     ``jir``/``mir``/``nar`` are the join- and meet-irreducibles and the
     narrows, as :func:`_jir`, :func:`_mir` and :func:`_nar` define them for
-    every caller.  ``upstar[x]`` is the join of x's upper covers (x at the top).
+    every caller.  ``upstar[x]`` is the join of x's upper covers (x at the top),
+    that is, of its leftmost and its rightmost one.
     """
 
     n: int
@@ -68,16 +69,17 @@ def lattice_tables(d):
     return d._tables
 
 
-# One definition each: jir (mir) have one lower (upper) cover, so not the bottom
-# (top); nar are comparable with all.  Split so that none reads the order masks.
+# One definition each: jir (mir) are not the bottom (top) and have one lower
+# (upper) cover, so their two extreme ones coincide; nar are comparable with
+# all.  Split so that none reads the order masks.
 
 
 def _jir(d):
-    return frozenset(x for x in range(d.n) if d.dncov[x].bit_count() == 1)
+    return frozenset(x for x, a, b in zip(range(d.n), *_cover_ends(d, False)) if a == b != x)
 
 
 def _mir(d):
-    return frozenset(x for x in range(d.n) if d.upcov[x].bit_count() == 1)
+    return frozenset(x for x, a, b in zip(range(d.n), *_cover_ends(d, True)) if a == b != x)
 
 
 def _nar(d):
@@ -88,27 +90,46 @@ def _nar(d):
     return frozenset(left).intersection(right)
 
 
+def _cover_ends(d, upper):
+    """x's two extreme upper (``upper``) or lower covers, as two lists that
+    hold x itself where it has none.
+
+    x's first upper cover in the left-to-right sweep is the nearest element
+    after x with a larger reverse position: it lies above x and nothing
+    sweeping between them does, so it covers x, and every other cover comes
+    later.  The covers form an antichain, which the sweeps list in opposite
+    orders, so that one is the leftmost; the second list does the same along
+    the other sweep, for the rightmost.  Read backwards, each sweep gives x's
+    last lower cover in it: the rightmost, then the leftmost.  One monotone
+    stack per sweep does every x: a new element ends the wait of those it passes.
+    """
+    ends = []
+    for order, pos in ((d.lam_order, d.rho_pos), (d.rho_order, d.lam_pos)):
+        end, waiting = list(range(d.n)), []
+        for y in order if upper else reversed(order):
+            while waiting and (pos[waiting[-1]] < pos[y]) == upper:
+                end[waiting.pop()] = y
+            waiting.append(y)
+        ends.append(end)
+    return ends
+
+
 def _cover_walks(d):
     """The leftmost and the rightmost maximal chain, each bottom to top.
 
-    The leftmost upper cover of x is the first element after x in the
-    left-to-right sweep with a larger reverse position: it lies above x,
-    whatever sweeps between them is not above x, and every other cover
-    comes later.  So the left chain is the run of new reverse-position
-    maxima along the left-to-right sweep, and the right chain the same
-    with the two sweeps swapped.  The left chain's members are thus the
-    elements with nothing to their left, the right chain's those with
-    nothing to their right.
+    Each walks up from the bottom along the leftmost (rightmost) upper cover
+    of :func:`_cover_ends`, the next element in the left-to-right sweep with
+    a larger reverse position.  That position is then the largest so far, so
+    the left chain's members are the elements with nothing to their left,
+    and dually the right chain's those with nothing to their right.
     """
-    chains = []
-    for order, pos in ((d.lam_order, d.rho_pos), (d.rho_order, d.lam_pos)):
-        chain, high = [], -1
-        for x in order:
-            if pos[x] > high:
-                chain.append(x)
-                high = pos[x]
-        chains.append(tuple(chain))
-    return tuple(chains)
+    walks = []
+    for cover in _cover_ends(d, upper=True):
+        chain = [d.bottom]
+        while chain[-1] != d.top:
+            chain.append(cover[chain[-1]])
+        walks.append(tuple(chain))
+    return tuple(walks)
 
 
 def _no_bound(d, x, y, above):
@@ -150,17 +171,15 @@ def _compute_tables(d):
             if common != dnl[m]:
                 raise _no_bound(d, x, y, above=False)
             meet_x[y] = meet[y][x] = m
-    upstar = []
-    for x in range(n):
-        j = x
-        for y in bits(d.upcov[x]):
-            j = join[j][y]
-        upstar.append(j)
+    # every upper cover of x comes no later than the rightmost one in the
+    # left-to-right sweep and the leftmost one in the other, so what lies
+    # above those two lies above them all: their join is the join of all
+    upstar = tuple(join[a][b] for a, b in zip(*_cover_ends(d, upper=True)))
     for table in (join, meet):  # row by row: no table is ever held twice
         for x in range(n):
             table[x] = tuple(table[x])
     return LatticeTables(
-        n, tuple(join), tuple(meet), _jir(d), _mir(d), _nar(d), tuple(upstar),
+        n, tuple(join), tuple(meet), _jir(d), _mir(d), _nar(d), upstar,
     )
 
 
@@ -176,10 +195,12 @@ def _semimodular(d, t):
     """Birkhoff's condition: any two upper covers a, b of one element are
     covered by a∨b.  In a finite lattice that is equivalent to a∧b ≺ a
     forcing b ≺ a∨b, and it reads pairs of covers instead of all m² pairs."""
-    upcov = d.upcov
-    for c in range(d.n):
-        for a, b in combinations(bits(upcov[c]), 2):
-            if not upcov[a] & upcov[b] & (1 << t.join[a][b]):
+    pairs = d.cover_pairs()
+    covers = set(pairs)
+    for _, upper in groupby(pairs, key=lambda pair: pair[0]):
+        for (_, a), (_, b) in combinations(upper, 2):
+            j = t.join[a][b]
+            if (a, j) not in covers or (b, j) not in covers:
                 return False
     return True
 

@@ -411,11 +411,12 @@ def diagram_from_chains(n, covers, left_chain, right_chain):
     if oriented is None:
         raise NotSlimSemimodular("order dimension exceeds two")
     require_slim_semimodular(oriented)
+    steps = set(oriented.cover_pairs())
     for chain in (left_chain, right_chain):
         if not chain or chain[0] != oriented.bottom or chain[-1] != oriented.top:
             raise ValueError("chains must run from the bottom to the top")
         for a, b in zip(chain, chain[1:]):
-            if not oriented.upcov[a] & (1 << b):
+            if (a, b) not in steps:
                 raise ValueError(f"({a}, {b}) is not a covering step")
     missing = sorted(_jir(oriented) - set(left_chain) - set(right_chain))
     if missing:

@@ -370,7 +370,7 @@ def test_count_builds_no_masks(monkeypatch):
             return build(d)
         return wrapper
 
-    names = ("lam_order", "rho_order", "up", "dn", "upcov", "dncov")
+    names = ("lam_order", "rho_order", "up", "dn")
     for name in names:
         field = vars(qp.Diagram)[name]
         monkeypatch.setattr(field, "build", counted(field.build))
@@ -380,7 +380,7 @@ def test_count_builds_no_masks(monkeypatch):
     d = qp.from_canonical((2, 1, 3))
     for name in names:
         getattr(d, name)
-    assert built == ["_sweep_orders", "_order_masks", "_cover_masks"]
+    assert built == ["_sweep_orders", "_order_masks"]
 
 
 def test_a_diagram_of_20000_elements_stores_no_masks():

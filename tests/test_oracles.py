@@ -13,9 +13,13 @@ all-pairs ``validate`` that read the order twice, the pair-list loop
 that checked each component in turn, the backtracking solver that
 oriented a bare order before implication classes did, and the
 ``diagram_from_chains`` that oriented the order and built its tables
-before drawing from the support heights, and the mask scans that found
+before drawing from the support heights, the mask scans that found
 the extremes of the peelings, pair keys, boundary walks, supports and
-narrows before they were read off the sweeps.
+narrows before they were read off the sweeps, and the cover masks whose
+bit counts, folds and runs of maxima gave the irreducibles, ``upstar``
+and the boundary walks before they read the extreme covers.  A diagram
+no longer derives cover masks, so they are folded here from its cover
+pairs.  Joins alone give a second α, the Jordan–Hölder permutation.
 """
 
 import json
@@ -44,6 +48,22 @@ from quasiplanar.errors import (
 
 FIELDS = ("n", "up", "dn", "upcov", "dncov", "bottom", "top",
           "lam_pos", "rho_pos", "lam_order", "rho_order")
+
+
+def _cover_masks(d):
+    """The upper and lower cover masks of ``d``, folded from its cover pairs:
+    the group a diagram derived before it read its extreme covers off the
+    sweeps."""
+    upcov, dncov = [0] * d.n, [0] * d.n
+    for x, y in d.cover_pairs():
+        upcov[x] |= 1 << y
+        dncov[y] |= 1 << x
+    return {"upcov": tuple(upcov), "dncov": tuple(dncov)}
+
+
+def _field(d, name):
+    """Field ``name`` of ``d``, the cover masks by the fold."""
+    return _cover_masks(d)[name] if name in ("upcov", "dncov") else getattr(d, name)
 
 
 def _sides(d):
@@ -131,7 +151,7 @@ def test_positions_derive_the_dominance_order():
                     continue
                 d = qp.Diagram(lam, rho)
                 want, predicates = _dominance(lam, rho)
-                assert {f: getattr(d, f) for f in FIELDS} == want
+                assert {f: _field(d, f) for f in FIELDS} == want
                 for name, pred in predicates.items():
                     query = getattr(d, name)
                     for x in range(n):
@@ -211,7 +231,7 @@ def _assert_derived_by_definition(d):
     for first in names:
         fresh = Diagram(d.lam_pos, d.rho_pos)
         for f in (first, *names, *reversed(names)):
-            assert getattr(fresh, f) == want[f], f
+            assert _field(fresh, f) == want[f], f
     fresh = Diagram(d.lam_pos, d.rho_pos)
     for f in ("cover_pairs", "left_pairs"):
         assert list(getattr(fresh, f)()) == want[f], f
@@ -396,7 +416,7 @@ def test_both_lattices_match_their_definitions():
             want, want_labels = slow(q)
             assert got_labels == want_labels
             for f in FIELDS:
-                assert getattr(got, f) == getattr(want, f), f
+                assert _field(got, f) == _field(want, f), f
 
 
 # -- the filter family against the definition ------------------------------
@@ -549,11 +569,12 @@ def _pair_key_by_masks(d, fset):
 def _cover_walks_by_masks(d):
     """Walk up from the bottom along the leftmost, then the rightmost,
     upper cover in the cover masks."""
+    upcov = _cover_masks(d)["upcov"]
     chains = []
     for pick in (min, max):
         chain = [d.bottom]
         while chain[-1] != d.top:
-            chain.append(pick(bits(d.upcov[chain[-1]]), key=d.lam_pos.__getitem__))
+            chain.append(pick(bits(upcov[chain[-1]]), key=d.lam_pos.__getitem__))
         chains.append(tuple(chain))
     return tuple(chains)
 
@@ -614,6 +635,110 @@ def test_boundary_walks_of_non_slim_lattices_match_the_mask_walk():
     for d in (qp.three_atom_diamond(), _two_chains(3)):
         assert qp.is_lattice(d) and not (qp.is_slim(d) and qp.is_semimodular(d))
         assert qp.boundary_chains(d) == _cover_walks_by_masks(d)
+
+
+# -- the extreme covers against the cover masks ----------------------------
+
+
+def _irreducibles_by_masks(d):
+    """(jir, mir): the elements with one lower, resp. upper, cover."""
+    masks = _cover_masks(d)
+    return tuple(
+        frozenset(x for x in range(d.n) if masks[f][x].bit_count() == 1)
+        for f in ("dncov", "upcov")
+    )
+
+
+def _upstar_by_masks(d, t):
+    """The join of each element's upper covers, one cover at a time."""
+    upstar = []
+    for x, covers in enumerate(_cover_masks(d)["upcov"]):
+        j = x
+        for y in bits(covers):
+            j = t.join[j][y]
+        upstar.append(j)
+    return tuple(upstar)
+
+
+def _cover_walks_by_maxima(d):
+    """The run of new reverse-position maxima along the left-to-right sweep,
+    then that of new left-to-right-position maxima along the other."""
+    chains = []
+    for order, pos in ((d.lam_order, d.rho_pos), (d.rho_order, d.lam_pos)):
+        chain, high = [], -1
+        for x in order:
+            if pos[x] > high:
+                chain.append(x)
+                high = pos[x]
+        chains.append(tuple(chain))
+    return tuple(chains)
+
+
+def _with_lattices(max_size):
+    """M3, the pentagon, then every diagram of sizes 2..max_size, its mirror
+    and a relabelling, each followed by its two lattices, each of those
+    plain and relabelled."""
+    yield qp.three_atom_diamond()
+    yield qp.pentagon()
+    for size in range(2, max_size + 1):
+        for q in qp.enumerate_quasiplanar(size):
+            for d in (q, qp.mirror(q), qp.relabel(q, tuple(reversed(range(size))))):
+                yield d
+                for lat in (qp.lattice_from_pairs(d), qp.lattice_from_filters(d)):
+                    yield lat
+                    yield qp.relabel(lat, tuple(reversed(range(lat.n))))
+
+
+def test_extreme_covers_match_the_cover_masks():
+    checked = lattices = 0
+    for d in _with_lattices(8):
+        assert (lattice._jir(d), lattice._mir(d)) == _irreducibles_by_masks(d), d
+        assert lattice._cover_walks(d) == _cover_walks_by_maxima(d), d
+        checked += 1
+        if qp.is_lattice(d):
+            t = qp.lattice_tables(d)
+            assert t.upstar == _upstar_by_masks(d, t), d
+            lattices += 1
+    # M3, the pentagon, three labelings of each of the 874 diagrams of sizes
+    # 2-8 and four lattices of each labeling; 2001 of those diagrams are
+    # lattices too
+    assert (checked, lattices) == (2 + 3 * 5 * 874, 2 + 3 * 4 * 874 + 2001)
+
+
+# -- α from joins alone: the Jordan–Hölder permutation ----------------------
+
+
+def _jordan_hoelder(d):
+    """Czédli and Schmidt's permutation of a slim semimodular lattice
+    diagram, π(i) = min{j : c_i ≤ c_{i-1} ∨ d_j} for its left boundary chain
+    C and its right boundary chain D, each walked in the cover masks, with
+    the joins of its tables; returned as its inverse."""
+    left, right = _cover_walks_by_masks(d)
+    join = qp.lattice_tables(d).join
+    h = len(left) - 1
+    inverse = [0] * h
+    for i in range(1, h + 1):
+        pi = min(j for j in range(1, h + 1) if d.leq(left[i], join[left[i - 1]][right[j]]))
+        inverse[pi - 1] = i
+    return tuple(inverse)
+
+
+def test_the_jordan_hoelder_permutation_inverts_the_canonical_form():
+    # Czédli and Schmidt describe a slim semimodular lattice by this
+    # permutation; read off its joins and boundary chains alone, it gives
+    # a second α that shares nothing with the certificate's positions
+    checked = 0
+    for size in range(3, 9):
+        for q in qp.enumerate_quasiplanar(size):
+            for build in (qp.lattice_from_pairs, qp.lattice_from_filters):
+                lat = build(q)
+                for d in (lat, qp.relabel(lat, tuple(reversed(range(lat.n))))):
+                    perm = _jordan_hoelder(d)
+                    assert perm == qp.canonical_form(q), (q, perm)
+                    assert qp.similar(qp.from_canonical(perm), qp.to_quasiplanar(d))
+                    checked += 1
+    # beta1 and beta2 of each of the 873 diagrams of sizes 3-8, two labelings
+    assert checked == 2 * 2 * 873
 
 
 # -- the lattice tables against the minimal-bounds search ------------------
@@ -713,7 +838,7 @@ def test_is_slim_matches_the_triple_scan():
 
 def _semimodular_by_all_pairs(d, t):
     """The m² definition: a∧b covered by a forces b covered by a∨b."""
-    upcov = d.upcov
+    upcov = _cover_masks(d)["upcov"]
     for a in range(d.n):
         for b in range(d.n):
             m = t.meet[a][b]
@@ -834,11 +959,12 @@ def _meet_semidistributive(d, t):
 def _has_cover_preserving_m3(d, t):
     """Some element with three upper covers whose pairwise joins are one
     element covering all three."""
+    upcov = _cover_masks(d)["upcov"]
     for o in range(d.n):
-        for a, b, c in combinations(bits(d.upcov[o]), 3):
+        for a, b, c in combinations(bits(upcov[o]), 3):
             i = t.join[a][b]
             if t.join[a][c] == i == t.join[b][c] and all(
-                d.upcov[e] >> i & 1 for e in (a, b, c)
+                upcov[e] >> i & 1 for e in (a, b, c)
             ):
                 return True
     return False
@@ -1477,11 +1603,12 @@ def _diagram_from_chains_reference(n, covers, left_chain, right_chain):
     t = qp.lattice_tables(oriented)
     left_chain = tuple(left_chain)
     right_chain = tuple(right_chain)
+    upcov = _cover_masks(oriented)["upcov"]
     for chain in (left_chain, right_chain):
         if not chain or chain[0] != oriented.bottom or chain[-1] != oriented.top:
             raise ValueError("chains must run from the bottom to the top")
         for a, b in zip(chain, chain[1:]):
-            if not oriented.upcov[a] & (1 << b):
+            if not upcov[a] & (1 << b):
                 raise ValueError(f"({a}, {b}) is not a covering step")
     covered = set(left_chain) | set(right_chain)
     missing = sorted(t.jir - covered)
