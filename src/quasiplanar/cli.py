@@ -4,15 +4,20 @@ Results go to stdout as JSON (DOT text for render); diagnostics go to
 stderr.  Exit codes: 0 success, 1 unusable input (including unmet
 preconditions) or a child process that failed, 2 a verification that ran
 and failed, 3 usage errors, 130 an interrupt.
+
+A command that reads a document runs its read, parse and handler with the
+cyclic garbage collector paused, since all it builds are trees; the sized
+commands (enumerate, count, verify) run unbounded and keep it on.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import os
 import sys
-from contextlib import closing
+from contextlib import closing, contextmanager
 from itertools import chain
 
 from .diagram import canonical_form, canonical_relabel, from_canonical, similar
@@ -28,6 +33,24 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(3, f"{self.prog}: error: {message}\n")
+
+
+@contextmanager
+def _collector_paused():
+    """Run the body with the cyclic garbage collector off, then restore it.
+
+    A document command builds trees (the parsed JSON, the diagram, its
+    tables and the output), which reference counting frees, so the
+    collector's passes over the objects of a large document find nothing.
+    A caller that had turned it off keeps it off.
+    """
+    was_on = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_on:
+            gc.enable()
 
 
 def _read(path):
@@ -192,7 +215,8 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         if "file" in args:
-            held = args.fn(parse(_read(args.file)), args)
+            with _collector_paused():
+                held = args.fn(parse(_read(args.file)), args)
         else:
             held = args.fn(args)
     except (ValueError, OSError, ShareFailed) as e:

@@ -35,17 +35,26 @@ class DiagramDocument:
 def _parse_pairs(value, key, n):
     if not isinstance(value, list):
         raise MalformedDocument(f"'{key}' must be an array", f"/{key}")
-    out = []
-    # json.loads makes exact lists and ints, so exact type tests suffice
-    # and refuse a bool; the first entry that fails them is examined again
-    for entry in value:
+    # one comprehension reads a valid list; json.loads makes exact ints, so
+    # exact type tests suffice and refuse a bool, and also a two-character
+    # string or a two-key object, which unpack into two non-ints
+    try:
+        out = [
+            (a, b) for a, b in value
+            if type(a) is int and type(b) is int and 0 <= a < n and 0 <= b < n
+        ]
+    except (TypeError, ValueError):  # an entry that does not unpack into two
+        pass
+    else:
+        if len(out) == len(value):
+            return tuple(out)
+    # some entry was not taken: find the first one and name its fault
+    for i, entry in enumerate(value):
         if type(entry) is list and len(entry) == 2:
             a, b = entry
             if type(a) is int and type(b) is int and 0 <= a < n and 0 <= b < n:
-                out.append((a, b))
                 continue
-        _refuse_entry(entry, f"/{key}/{len(out)}", n)
-    return tuple(out)
+        _refuse_entry(entry, f"/{key}/{i}", n)
 
 
 def _refuse_entry(entry, at, n):

@@ -2,10 +2,12 @@
 
 import argparse
 import dataclasses
+import gc
 import hashlib
 import io
 import json
 import os
+import random
 import re
 import signal
 import subprocess
@@ -348,3 +350,91 @@ def test_readme_command_table_lists_the_parser_subcommands_in_order():
     table = readme.split("## Command line", 1)[1].split("\n\n")[2]
     rows = table.splitlines()[2:]
     assert [row.split("`")[1].split()[0] for row in rows] == list(sub.choices)
+
+
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collector(request):
+    """The collector's state before main runs; restored afterwards."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("argv, stdin, interrupt, code", [
+    (["validate", "-"], Q5_TEXT, False, 0),
+    (["validate", "-"], '{"n":3,"covers":[[0,1],[1]]}', False, 1),
+    (["alpha", "-"], qp.serialize(qp.three_atom_diamond()), False, 1),
+    (["validate", "-"], Q5_TEXT, True, 130),
+], ids=["exit-0", "malformed", "alpha-m3", "interrupt"])
+def test_main_leaves_the_collector_as_it_found_it(
+    monkeypatch, capsys, collector, argv, stdin, interrupt, code
+):
+    seen = []
+
+    def interrupted(d):
+        seen.append(gc.isenabled())
+        raise KeyboardInterrupt
+
+    if interrupt:
+        monkeypatch.setattr(cli, "serialize", interrupted)
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    assert cli.main(argv) == code
+    assert gc.isenabled() is collector
+    # the handler ran with the collector paused
+    assert seen == ([False] if interrupt else [])
+    capsys.readouterr()
+
+
+def test_a_sized_command_runs_with_the_collector_on(monkeypatch, capsys, collector):
+    seen = []
+    monkeypatch.setattr(
+        cli, "count_quasiplanar", lambda size: seen.append(gc.isenabled()) or 6
+    )
+    assert cli.main(["count", "--size", "5"]) == 0
+    assert (seen, gc.isenabled()) == ([collector], collector)
+    capsys.readouterr()
+
+
+def test_document_commands_leave_no_cyclic_garbage(monkeypatch, capsys):
+    # the paused collector has nothing to find: every document command, on
+    # accepted and refused input alike, builds only what reference counting
+    # frees.  The diagram is shuffled in blocks of seven, so that beta of
+    # its 62-element beta2 document stays small (198 elements)
+    rng = random.Random(5)
+    perm = [x for s in (1, 8, 15, 22) for x in rng.sample(range(s, s + 7), 7)]
+    d = qp.relabel(qp.from_canonical(perm), rng.sample(range(30), 30))
+    inputs = [
+        (None, qp.serialize(d)),
+        (None, qp.serialize(qp.lattice_from_filters(d))),
+        (None, qp.serialize(qp.three_atom_diamond())),
+        ("MalformedDocument", '{"n":3,"covers":[[0,1],[1]]}'),
+        ("NotAPartialOrder", '{"n":3,"covers":[[0,1],[1,2],[2,0]]}'),
+        ("NotBounded", '{"n":3,"covers":[[0,1],[0,2]]}'),
+        ("LeftOnComparable", '{"n":4,"covers":[[0,1],[0,2],[1,3],[2,3]],"left":[[0,3]]}'),
+        ("LeftIncomplete", '{"n":4,"covers":[[0,1],[0,2],[1,3],[2,3]],"left":[]}'),
+    ]
+    commands = [
+        ["validate"], ["canon"], ["alpha"], ["beta", "--variant", "1"],
+        ["beta", "--variant", "2"], ["roundtrip", "--direction", "auto"],
+        ["roundtrip", "--direction", "lattice"],
+        ["roundtrip", "--direction", "diagram"], ["render"],
+    ]
+
+    def run(argv, text):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code = cli.main([*argv, "-"])
+        return code, capsys.readouterr().err
+
+    run(["validate"], Q5_TEXT)  # the first call builds the parser
+    gc.collect()
+    codes = []
+    for argv in commands:
+        for error, text in inputs:
+            code, err = run(argv, text)
+            assert gc.collect() == 0, (argv, text[:60])
+            if error:
+                assert (code, err.split(":")[0]) == (1, error), argv
+            codes.append(code)
+    # alpha, beta and roundtrip --direction lattice refuse M3
+    assert (len(codes), codes.count(0)) == (72, 9 * 2 + 5)

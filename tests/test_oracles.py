@@ -9,8 +9,9 @@ family, the intersection of the filters as the closure, a minimal-bounds
 search for the lattice tables, the triple scan for slimness, the m² loop
 for semimodularity and the table verdict for the certificate of
 ``to_quasiplanar``, meet representations over every meet-irreducible, the
-all-pairs ``validate`` that read the order twice, the pair-list loop
-that checked each component in turn, the backtracking solver that
+all-pairs ``validate`` that read the order twice, the pair-list loops
+that checked each component in turn and then each entry (before one
+comprehension read the list), the backtracking solver that
 oriented a bare order before implication classes did, and the
 ``diagram_from_chains`` that oriented the order and built its tables
 before drawing from the support heights, the mask scans that found
@@ -1427,6 +1428,85 @@ def test_parse_pairs_matches_the_reference_on_mutated_lists(monkeypatch):
                 assert _parse_outcome(qp.parse_document, text) == want, (m, case)
             compared += 1
     assert compared == 2 * (7 + 3 * (3 * 14 + 2 + 9))
+
+
+# -- the one-comprehension read against the per-entry pass it replaced -----
+
+
+def _parse_pairs_by_entry(value, key, n):
+    """The pass that read a pair list one entry at a time, handing the first
+    entry it did not take to ``io._refuse_entry``."""
+    if not isinstance(value, list):
+        raise MalformedDocument(f"'{key}' must be an array", f"/{key}")
+    out = []
+    for entry in value:
+        if type(entry) is list and len(entry) == 2:
+            a, b = entry
+            if type(a) is int and type(b) is int and 0 <= a < n and 0 <= b < n:
+                out.append((a, b))
+                continue
+        io._refuse_entry(entry, f"/{key}/{len(out)}", n)
+    return tuple(out)
+
+
+def _assert_documents_read_alike(text):
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(io, "_parse_pairs", _parse_pairs_by_entry)
+        want = _parse_outcome(qp.parse_document, text)
+    assert _parse_outcome(qp.parse_document, text) == want, text
+    return want
+
+
+_Q6 = qp.relabel(qp.from_canonical((3, 1, 4, 2)), (4, 0, 5, 2, 1, 3))
+
+
+@pytest.mark.parametrize("bad", [
+    7, [], [1], [1, 2, 3], "ab", {"a": 0, "b": 1}, True, 1.0, None, -1,
+    _Q6.n, 10**30, [[0], [1]],
+], ids=repr)
+def test_a_bad_entry_anywhere_is_named_as_the_per_entry_pass_names_it(bad):
+    # the entry itself, and as either component of a pair
+    n, named = _Q6.n, 0
+    for key, pairs in (("covers", _Q6.cover_pairs()), ("left", _Q6.left_pairs())):
+        pairs = [list(p) for p in pairs]
+        for entry in (bad, [bad, 0], [0, bad]):
+            for at in (0, len(pairs) // 2, len(pairs)):
+                doc = {"n": n, "covers": [[0, 1]], "left": []}
+                doc[key] = pairs[:at] + [entry] + pairs[at:]
+                got = _assert_documents_read_alike(json.dumps(doc))
+                assert got[0] is MalformedDocument, got
+                assert got[2].startswith(f"/{key}/{at}"), got
+                named += 1
+    assert named == 2 * 3 * 3
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=30),
+    st.sampled_from(("covers", "left")),
+    st.integers(0, 30),
+    _json_values,
+)))
+def test_one_mutated_entry_is_read_as_the_per_entry_pass_reads_it(case):
+    n, pairs, key, at, entry = case
+    pairs = [list(p) for p in pairs]
+    doc = {"n": n, "covers": [], "left": []}
+    doc[key] = pairs
+    valid = _assert_documents_read_alike(json.dumps(doc))
+    assert getattr(valid, key) == tuple(map(tuple, pairs))
+    at = min(at, len(pairs))
+    doc[key] = pairs[:at] + [entry] + pairs[at:]
+    _assert_documents_read_alike(json.dumps(doc))
 
 
 # -- order_dimension_le2 against the backtracking solver it replaced -------
