@@ -71,15 +71,14 @@ def _suffix_masks(pos):
     return suf
 
 
-def _order_masks(d):
-    """The up and down masks of ``d``: what is after x in both sweeps, x
-    included, and what is after it in neither."""
-    lam, rho, n = d.lam_pos, d.rho_pos, d.n
+def _order_masks(lam, rho):
+    """The up and down masks of the sweep positions ``lam`` and ``rho``: what
+    is after x in both sweeps, x included, and what is after it in neither."""
+    n = len(lam)
     after_l, after_r = _suffix_masks(lam), _suffix_masks(rho)
     up = [after_l[lam[x]] & after_r[rho[x]] for x in range(n)]
     dn = [after_l[0] ^ (after_l[lam[x] + 1] | after_r[rho[x] + 1]) for x in range(n)]
-    # lists first: a tuple grown from a generator fills a smaller size's free list
-    return {"up": tuple(up), "dn": tuple(dn)}
+    return up, dn
 
 
 def _pairs(codes, n):
@@ -90,7 +89,7 @@ def _pairs(codes, n):
 
 
 class _Derived:
-    """A field of a Diagram computed with its group on first read, then kept.
+    """A field of the one derived group of a Diagram, built on first read and kept.
 
     A non-data descriptor: ``build(d)`` returns the whole group as a dict,
     whose fields are set on the instance, where every later read finds them
@@ -124,16 +123,10 @@ class Diagram:
     fields carry identity; the constructor stores them with ``n``,
     ``bottom`` and ``top`` and nothing else.  The relation queries compare
     positions, as the module docstring defines them, on elements 0..n-1
-    that they do not check.  The other fields are derived on first read,
-    one group at a time, and kept:
-
-    * ``lam_order``/``rho_order``, the elements in each sweep's order;
-    * ``up[x]``/``dn[x]``, the bitmasks of the elements >= x / <= x, x
-      included: O(n²) bits, built together on the first read of either.
-
-    So comparing, hashing, the queries, canonical forms, the pair lists and
-    the extreme covers (see :mod:`quasiplanar.lattice`) cost no masks.
-    Instances are hashable values, safe to share and to use as dict keys.
+    that they do not check.  ``lam_order``/``rho_order``, the elements in
+    each sweep's order, are derived together on first read and kept; no
+    masks are.  Instances are hashable values, safe to share and to use as
+    dict keys.
 
     ``Diagram(lam_pos, rho_pos)`` is the only constructor.  It raises
     NotLinearizable unless both arguments are permutations of 0..n-1 and
@@ -153,8 +146,6 @@ class Diagram:
 
     lam_order = _Derived(_sweep_orders)
     rho_order = _Derived(_sweep_orders)
-    up = _Derived(_order_masks)
-    dn = _Derived(_order_masks)
 
     def __post_init__(self):
         lam, rho = tuple(self.lam_pos), tuple(self.rho_pos)
@@ -549,12 +540,19 @@ def canonical_relabel(d):
     return relabel(d, d.lam_pos)
 
 
-def _minimal_in(d, mask):
-    return [z for z in bits(mask) if not (d.dn[z] & ~(1 << z) & mask)]
-
-
-def _maximal_in(d, mask):
-    return [z for z in bits(mask) if not (d.up[z] & ~(1 << z) & mask)]
+def _extremes_in(d, lams, rhos, lowest):
+    """The minimal (``lowest``) or maximal elements, sorted by label, of the
+    elements at sweep positions ``lams`` and reverse positions ``rhos``.
+    Along the left-to-right sweep, such an element is minimal when its reverse
+    position is below those before it, maximal when above those after it."""
+    rho, found = d.rho_pos, []
+    sweep = d.lam_order[lams.start:lams.stop]
+    bound = rhos.stop if lowest else rhos.start - 1
+    for z in sweep if lowest else reversed(sweep):
+        if rho[z] in rhos and (rho[z] < bound) == lowest:
+            found.append(z)
+            bound = rho[z]
+    return sorted(found)
 
 
 def _dominance_diagram(keys):

@@ -28,6 +28,7 @@ from math import factorial
 from .diagram import (
     Diagram,
     _dominance_diagram,
+    _order_masks,
     _shown,
     bits,
     canonical_form,
@@ -47,7 +48,6 @@ from .lattice import (
     is_join_distributive,
 )
 from .transform import (
-    _ground_mask,
     antimatroid_of,
     enumerate_hco_filters,
     hco_closure,
@@ -320,14 +320,14 @@ def _labeled_posets(k):
 
 
 def _invariants(d, respect_left):
+    up, dn = _order_masks(d.lam_pos, d.rho_pos)
     if respect_left:
         # x is left of what follows it in the left-to-right sweep but not above it
         return [
-            (d.up[x].bit_count(), d.dn[x].bit_count(),
-             d.n - d.lam_pos[x] - d.up[x].bit_count())
+            (up[x].bit_count(), dn[x].bit_count(), d.n - d.lam_pos[x] - up[x].bit_count())
             for x in range(d.n)
         ]
-    return [(d.up[x].bit_count(), d.dn[x].bit_count()) for x in range(d.n)]
+    return [(up[x].bit_count(), dn[x].bit_count()) for x in range(d.n)]
 
 
 def _bijection_search(d1, d2, respect_left):
@@ -547,6 +547,10 @@ class _Ctx:
         return _supports(self.beta2)
 
     @cached_property
+    def up_masks(self):  # of q, for the definition side of the filter laws
+        return _order_masks(self.q.lam_pos, self.q.rho_pos)[0]
+
+    @cached_property
     def filter_index(self):
         return {f: i for i, f in enumerate(self.beta2_labeled[1])}
 
@@ -581,10 +585,10 @@ def _require_same_positions(got, want, message):
         )))
 
 
-def _is_hco_filter(d, ground, mask, lft, rgt):
+def _is_hco_filter(up, ground, mask, lft, rgt):
     """Whether ``mask`` is a horizontally convex filter, by the definition."""
     for x in bits(mask):
-        if d.up[x] & ~mask:
+        if up[x] & ~mask:
             return False
     for y in bits(ground & ~mask):
         if rgt[y] & mask and lft[y] & mask:
@@ -592,8 +596,8 @@ def _is_hco_filter(d, ground, mask, lft, rgt):
     return True
 
 
-def _hco_filters_by_definition(d):
-    """Every horizontally convex filter of ``d``, found by testing all 2^n sets.
+def _hco_filters_by_definition(d, up):
+    """Every horizontally convex filter of ``d`` (up masks ``up``), by testing all 2^n sets.
 
     The reference for :func:`~quasiplanar.transform.enumerate_hco_filters`,
     which builds one filter per weak left pair instead.
@@ -602,10 +606,10 @@ def _hco_filters_by_definition(d):
     for x, y in d.left_pairs():
         lft[x] |= 1 << y
         rgt[y] |= 1 << x
-    ground = _ground_mask(d)
+    ground = ((1 << d.n) - 1) & ~(1 << d.bottom)
     return {
         frozenset(bits(m)) for m in range(1, 1 << d.n)
-        if not m & ~ground and _is_hco_filter(d, ground, m, lft, rgt)
+        if not m & ~ground and _is_hco_filter(up, ground, m, lft, rgt)
     }
 
 
@@ -654,9 +658,8 @@ def _check_pair_filter_maps(c):
     beta1, pairs = c.beta1_labeled
     by_label = [to_filter[p] for p in pairs]
     for i, f in enumerate(by_label):
-        up = beta1.up[i]
         for j, g in enumerate(by_label):
-            if bool(up >> j & 1) != (g <= f):
+            if beta1.leq(i, j) != (g <= f):
                 raise LawViolation(
                     f"pair order and filter order disagree at {pairs[i]}, {pairs[j]}"
                 )
@@ -666,7 +669,7 @@ def _check_closure_betweenness(c):
     for p in c.pairs:
         upmask = 0
         for z in min_between(c.q, *p):
-            upmask |= c.q.up[z]
+            upmask |= c.up_masks[z]
         _require(
             c.closure(p) == frozenset(bits(upmask)),
             "closure of {} is not the up-set of its betweenness minima", p,
@@ -774,7 +777,7 @@ def _check_peel_intersections(c):
 def _check_counts_agree(c):
     # the family is built from the weak pairs, so it is held against the
     # definition-level scan, not only counted
-    want = _hco_filters_by_definition(c.q)
+    want = _hco_filters_by_definition(c.q, c.up_masks)
     _require(
         set(c.fam.filters) == want,
         "the filter family differs from the definition-level scan",
@@ -831,12 +834,12 @@ def _check_supports(c):
         )
         lm, rm = to_pair[f]
         _require(
-            sup.lds[i] == c.filter_index[frozenset(bits(c.q.up[lm]))],
+            sup.lds[i] == c.filter_index[frozenset(bits(c.up_masks[lm]))],
             "left dual support of element {} is not the leftmost principal filter",
             i,
         )
         _require(
-            sup.rds[i] == c.filter_index[frozenset(bits(c.q.up[rm]))],
+            sup.rds[i] == c.filter_index[frozenset(bits(c.up_masks[rm]))],
             "right dual support of element {} is not the rightmost principal filter",
             i,
         )
@@ -862,7 +865,7 @@ def _check_mir_absorption(c):
     d = c.beta2
     t = c.tables
     for a in sorted(t.mir):
-        for higher in bits(d.up[a] & ~(1 << a)):
+        for higher in (z for z in d.lam_order[d.lam_pos[a]:] if d.lt(a, z)):
             for b in range(d.n):
                 if d.leq(t.meet[b][higher], a):
                     _require(

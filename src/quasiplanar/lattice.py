@@ -19,14 +19,7 @@ from bisect import bisect
 from dataclasses import dataclass
 from itertools import combinations, groupby
 
-from .diagram import (
-    _dominance_diagram,
-    _element,
-    _maximal_in,
-    _minimal_in,
-    bits,
-    canonical_relabel,
-)
+from .diagram import _dominance_diagram, _element, _extremes_in, _order_masks
 from .errors import NotALattice, NotSlimSemimodular
 
 
@@ -134,10 +127,13 @@ def _cover_walks(d):
 
 def _no_bound(d, x, y, above):
     """NotALattice for x and y, which lack a join (``above``) or a meet."""
-    if above:
-        found, what = _minimal_in(d, d.up[x] & d.up[y]), "minimal upper"
+    lam, rho, n = d.lam_pos, d.rho_pos, d.n
+    if above:  # the common bounds are a quadrant of positions
+        box = range(max(lam[x], lam[y]), n), range(max(rho[x], rho[y]), n)
     else:
-        found, what = _maximal_in(d, d.dn[x] & d.dn[y]), "maximal lower"
+        box = range(min(lam[x], lam[y]) + 1), range(min(rho[x], rho[y]) + 1)
+    found = _extremes_in(d, *box, lowest=above)
+    what = "minimal upper" if above else "maximal lower"
     return NotALattice(
         f"elements {x} and {y} have {what} bounds {found[0]} and {found[1]}",
         witness=(x, y, found[0], found[1]),
@@ -145,13 +141,13 @@ def _no_bound(d, x, y, above):
 
 
 def _compute_tables(d):
-    """:func:`lattice_tables` from the up/down masks of ``canonical_relabel(d)``."""
+    """:func:`lattice_tables` from the up/down masks of d by sweep position."""
     n = d.n
     order = d.lam_order
     # masks by sweep position: the first common upper bound is the lowest bit
-    c = canonical_relabel(d)
-    upl = [c.up[p] for p in d.lam_pos]
-    dnl = [c.dn[p] for p in d.lam_pos]
+    up, dn = _order_masks(range(n), [d.rho_pos[x] for x in order])
+    upl = [up[p] for p in d.lam_pos]
+    dnl = [dn[p] for p in d.lam_pos]
     join = [[0] * n for _ in range(n)]
     meet = [[0] * n for _ in range(n)]
     for x in range(n):
@@ -235,9 +231,10 @@ def is_slim(d):
 def is_join_distributive(d):
     """Whether every interval [x, join of covers of x] is distributive."""
     t = lattice_tables(d)
-    for x in range(d.n):
-        interval = list(bits(d.up[x] & d.dn[t.upstar[x]]))
-        for u, v, w in combinations(interval, 3):
+    lam, rho = d.lam_pos, d.rho_pos
+    for x, s in enumerate(t.upstar):  # s = x*; [x, s] runs from x to s in both sweeps
+        box = [z for z in d.lam_order[lam[x]:lam[s] + 1] if rho[x] <= rho[z] <= rho[s]]
+        for u, v, w in combinations(box, 3):
             for a, b, c in ((u, v, w), (v, u, w), (w, u, v)):
                 if t.meet[a][t.join[b][c]] != t.join[t.meet[a][b]][t.meet[a][c]]:
                     return False

@@ -30,10 +30,11 @@ from bisect import bisect
 from dataclasses import dataclass
 
 from .diagram import (
+    _certified,
     _chain_members,
     _checked,
     _dominance_diagram,
-    _minimal_in,
+    _extremes_in,
     _order,
     _oriented,
     _shown,
@@ -55,11 +56,6 @@ from .lattice import (
 )
 
 WeakLeftPair = tuple[int, int]
-
-
-def _ground_mask(d):
-    """Everything above the bottom, as a mask."""
-    return ((1 << d.n) - 1) & ~(1 << d.bottom)
 
 
 def _check_distinct_ends(d):
@@ -199,11 +195,10 @@ def min_between(d, x, y):
     x, y = _ground_element(d, x), _ground_element(d, y)
     if x != y and not d.left(x, y):
         raise ValueError(f"({x}, {y}) is not a weak left pair")
-    betw = 0
-    for z in bits(_ground_mask(d)):
-        if (z == x or d.left(x, z)) and (z == y or d.left(z, y)):
-            betw |= 1 << z
-    return tuple(_minimal_in(d, betw))
+    # between: from x to y in one sweep, from y to x in the other
+    lam, rho = d.lam_pos, d.rho_pos
+    box = range(lam[x], lam[y] + 1), range(rho[y], rho[x] + 1)
+    return tuple(_extremes_in(d, *box, lowest=True))
 
 
 def _pair_key(d, fset):
@@ -406,12 +401,16 @@ def diagram_from_chains(n, covers, left_chain, right_chain):
     left_chain = _chain_members(n, left_chain, "left_chain")
     right_chain = _chain_members(n, right_chain, "right_chain")
     drawn = _dominance_diagram([*zip(_heights(up, right_chain), _heights(up, left_chain))])
-    # every check below reads the order only, so any orientation gives its verdict
-    oriented = drawn if list(drawn.up) == up else _oriented(n, cover_list, up)
-    if oriented is None:
-        raise NotSlimSemimodular("order dimension exceeds two")
+    steps = set(drawn.cover_pairs())
+    # drawn has the input's order when it puts each input pair below and
+    # draws only order pairs as covers; the checks below read the order only
+    oriented = drawn
+    if not (_certified(drawn, cover_list, ()) and all(up[a] >> b & 1 for a, b in steps)):
+        oriented = _oriented(n, cover_list, up)
+        if oriented is None:
+            raise NotSlimSemimodular("order dimension exceeds two")
+        steps = set(oriented.cover_pairs())
     require_slim_semimodular(oriented)
-    steps = set(oriented.cover_pairs())
     for chain in (left_chain, right_chain):
         if not chain or chain[0] != oriented.bottom or chain[-1] != oriented.top:
             raise ValueError("chains must run from the bottom to the top")
@@ -440,7 +439,7 @@ def antimatroid_of(d):
     (empty set feasible, covering the ground, union closure, accessibility)
     make up the law "filter complements form an antimatroid".
     """
-    full = frozenset(bits(_ground_mask(d)))
+    full = frozenset(range(d.n)) - {d.bottom}
     feasible = frozenset(full.difference(elems) for _, elems, _ in _pair_filters(d))
     return Antimatroid(frozenset(d.interior()), feasible)
 
@@ -454,4 +453,6 @@ def meet_irreducible_filters(d):
     the law "meet irreducibles carry principal filters".
     """
     _check_distinct_ends(d)
-    return {x: frozenset(bits(d.up[x])) for x in d.interior()}
+    lam, rho = d.lam_pos, d.rho_pos
+    return {x: frozenset(z for z in d.lam_order[lam[x]:] if rho[z] >= rho[x])
+            for x in d.interior()}

@@ -7,7 +7,12 @@ from dataclasses import replace
 import pytest
 
 import quasiplanar as qp
-from quasiplanar import enumeration, lattice, transform
+from quasiplanar import diagram, enumeration, lattice, transform
+
+
+def _up(d):
+    """The up masks of ``d``, read off its positions pair by pair."""
+    return tuple(sum(1 << y for y in range(d.n) if d.leq(x, y)) for x in range(d.n))
 
 
 def test_tables_of_capped_diamond():
@@ -295,12 +300,14 @@ def test_tables_are_built_once_per_diagram_instance(monkeypatch):
 
 def test_constructions_past_the_gate_build_no_order_masks(monkeypatch):
     # the walks, supports, narrows, peelings and pair keys read their
-    # extremes off the sweep positions, so no order mask is built
+    # extremes off the sweep positions, so no order mask is built by any
+    # module that binds the builder
     built = []
-    for name in ("up", "dn"):
-        field = vars(qp.Diagram)[name]
-        real = field.build
-        monkeypatch.setattr(field, "build", lambda d, real=real: built.append(d) or real(d))
+    for module in (diagram, lattice, enumeration):
+        real = module._order_masks
+        monkeypatch.setattr(
+            module, "_order_masks", lambda *a, real=real: built.append(a) or real(*a)
+        )
     q = qp.from_canonical(random.Random(30).sample(range(1, 29), 28))
     d = qp.lattice_from_filters(q)
     lc, rc = qp.boundary_chains(d)
@@ -315,7 +322,8 @@ def test_constructions_past_the_gate_build_no_order_masks(monkeypatch):
     assert all(d.leq(sup.lsp[x], x) and d.leq(x, sup.lds[x]) for x in range(d.n))
     assert all(to_filter[to_pair[f]] == f for f in fam.filters)
     # the count sees a build
-    assert d.up[d.bottom] == (1 << d.n) - 1 and built == [d]
+    t = qp.lattice_tables(d)
+    assert t.join[d.bottom][d.top] == d.top and len(built) == 1
 
 
 def test_boundary_chains_builds_the_tables_once_and_names_nothing(monkeypatch):
@@ -363,7 +371,7 @@ def test_diagram_from_chains_draws_the_order_and_the_chains():
                     if not jir <= set(lc) | set(rc):
                         continue
                     got = qp.diagram_from_chains(d.n, d.cover_pairs(), lc, rc)
-                    assert got.up == d.up
+                    assert _up(got) == _up(d)
                     assert qp.boundary_chains(got) == (tuple(lc), tuple(rc))
                     cases += 1
     # 321 through sizes 3-7, and the one-element lattice of size 2

@@ -18,13 +18,18 @@ before drawing from the support heights, the mask scans that found
 the extremes of the peelings, pair keys, boundary walks, supports and
 narrows before they were read off the sweeps, and the cover masks whose
 bit counts, folds and runs of maxima gave the irreducibles, ``upstar``
-and the boundary walks before they read the extreme covers.  A diagram
-no longer derives cover masks, so they are folded here from its cover
-pairs.  Joins alone give a second α, the Jordan–Hölder permutation.
+and the boundary walks before they read the extreme covers, and the mask
+bodies of ``min_between``, ``meet_irreducible_filters``, the
+join-distributive intervals, the bound lists of NotALattice and the order
+test of ``diagram_from_chains`` before they read boxes of positions.  A
+diagram derives neither cover nor order masks any more, so they are folded
+here from its cover pairs and its positions.  Joins alone give a second α,
+the Jordan–Hölder permutation.
 """
 
 import json
 import random
+from functools import lru_cache
 from itertools import combinations, permutations
 
 import pytest
@@ -37,7 +42,6 @@ from quasiplanar.diagram import (
     validate,
 )
 from quasiplanar.enumeration import _labeled_posets
-from quasiplanar.transform import _ground_mask
 from quasiplanar.errors import (
     LeftIncomplete,
     LeftOnComparable,
@@ -62,9 +66,45 @@ def _cover_masks(d):
     return {"upcov": tuple(upcov), "dncov": tuple(dncov)}
 
 
+@lru_cache(maxsize=1024)
+def _order_fold(d):
+    """The up and down masks of ``d``, read off its positions pair by pair:
+    the group a diagram derived before every reader asked the sweeps.  Kept
+    per diagram value, since the mask oracles read it element by element."""
+    lam, rho, n = d.lam_pos, d.rho_pos, d.n
+    up = tuple(
+        sum(1 << y for y in range(n) if lam[x] <= lam[y] and rho[x] <= rho[y])
+        for x in range(n)
+    )
+    dn = tuple(
+        sum(1 << y for y in range(n) if lam[y] <= lam[x] and rho[y] <= rho[x])
+        for x in range(n)
+    )
+    return {"up": up, "dn": dn}
+
+
+def _minimal_in(d, mask):
+    """The minimal elements of ``mask`` by a down-mask scan, in label order."""
+    dn = _order_fold(d)["dn"]
+    return [z for z in bits(mask) if not (dn[z] & ~(1 << z) & mask)]
+
+
+def _maximal_in(d, mask):
+    """The maximal elements of ``mask`` by an up-mask scan, in label order."""
+    up = _order_fold(d)["up"]
+    return [z for z in bits(mask) if not (up[z] & ~(1 << z) & mask)]
+
+
+def _ground_mask(d):
+    """Everything above the bottom, as a mask."""
+    return ((1 << d.n) - 1) & ~(1 << d.bottom)
+
+
 def _field(d, name):
-    """Field ``name`` of ``d``, the cover masks by the fold."""
-    return _cover_masks(d)[name] if name in ("upcov", "dncov") else getattr(d, name)
+    """Field ``name`` of ``d``, the cover and order masks by the folds."""
+    if name in ("upcov", "dncov"):
+        return _cover_masks(d)[name]
+    return _order_fold(d)[name] if name in ("up", "dn") else getattr(d, name)
 
 
 def _sides(d):
@@ -83,7 +123,7 @@ def _sides(d):
 
 
 def _masks(d):
-    return d.n, d.up, _sides(d)[0]
+    return d.n, _order_fold(d)["up"], _sides(d)[0]
 
 
 def _relabelled(max_size):
@@ -280,7 +320,7 @@ def test_left_pairs_are_listed_in_order_past_the_cached_integers():
 
 
 def _mirror_by_masks(d):
-    return d.n, d.up, _sides(d)[1]
+    return d.n, _order_fold(d)["up"], _sides(d)[1]
 
 
 def _relabel_by_masks(d, new_of_old):
@@ -290,7 +330,7 @@ def _relabel_by_masks(d, new_of_old):
     old_lft = _sides(d)[0]
     for x in range(n):
         nx = new_of_old[x]
-        for y in bits(d.up[x]):
+        for y in bits(_order_fold(d)["up"][x]):
             up[nx] |= 1 << new_of_old[y]
         for y in bits(old_lft[x]):
             lft[nx] |= 1 << new_of_old[y]
@@ -306,7 +346,7 @@ def _restrict_by_masks(d, members, offset):
     old_lft = _sides(d)[0]
     for old in members:
         new = new_of_old[old]
-        for y in bits(d.up[old]):
+        for y in bits(_order_fold(d)["up"][old]):
             if y in new_of_old:
                 up[new] |= 1 << new_of_old[y]
         for y in bits(old_lft[old]):
@@ -316,7 +356,8 @@ def _restrict_by_masks(d, members, offset):
 
 
 def _interval_by_masks(d, lo, hi):
-    up, lft = _restrict_by_masks(d, sorted(bits(d.up[lo] & d.dn[hi])), 0)
+    masks = _order_fold(d)
+    up, lft = _restrict_by_masks(d, sorted(bits(masks["up"][lo] & masks["dn"][hi])), 0)
     return len(up), tuple(up), tuple(lft)
 
 
@@ -347,7 +388,7 @@ def test_mirror_and_relabel_match_the_mask_loops():
 def test_interval_subdiagram_matches_the_mask_loop():
     for d in _relabelled(6):
         for lo in range(d.n):
-            for hi in bits(d.up[lo]):
+            for hi in bits(_order_fold(d)["up"][lo]):
                 got = qp.interval_subdiagram(d, lo, hi)
                 assert _masks(got) == _interval_by_masks(d, lo, hi)
 
@@ -474,7 +515,7 @@ def _pair_mask(d, x, y):
     lft, rgt = _sides(d)
     mask = 0
     for z in bits((lft[x] | 1 << x) & (rgt[y] | 1 << y)):
-        mask |= d.up[z]
+        mask |= _order_fold(d)["up"][z]
     return mask
 
 
@@ -551,7 +592,7 @@ def _peel_by_masks(d, leftmost):
     chain = [1 << d.top]
     steps = []
     while chain[-1] != ground:
-        choices = diagram._maximal_in(d, ground & ~chain[-1])
+        choices = _maximal_in(d, ground & ~chain[-1])
         pick = (min if leftmost else max)(choices, key=d.lam_pos.__getitem__)
         steps.append(pick)
         chain.append(chain[-1] | (1 << pick))
@@ -563,7 +604,7 @@ def _peel_by_masks(d, leftmost):
 def _pair_key_by_masks(d, fset):
     """The minimal elements of ``fset`` by a down-mask scan, then the
     leftmost and the rightmost of them."""
-    mins = diagram._minimal_in(d, sum(1 << e for e in fset))
+    mins = _minimal_in(d, sum(1 << e for e in fset))
     return min(mins, key=d.lam_pos.__getitem__), max(mins, key=d.lam_pos.__getitem__)
 
 
@@ -584,22 +625,23 @@ def _supports_by_masks(d):
     """Supports at each element's height on the chains, counted in the up
     masks; dual supports the leftmost and rightmost minimal elements of the
     meet-irreducibles above it."""
+    up = _order_fold(d)["up"]
     lsp, rsp = (
-        tuple(chain[sum(d.up[c] >> x & 1 for c in chain) - 1] for x in range(d.n))
+        tuple(chain[sum(up[c] >> x & 1 for c in chain) - 1] for x in range(d.n))
         for chain in _cover_walks_by_masks(d)
     )
     mir_mask = sum(1 << m for m in lattice._mir(d))
     lds, rds = [], []
     for x in range(d.n):
-        mins = [x] if x == d.top else diagram._minimal_in(d, d.up[x] & mir_mask)
+        mins = [x] if x == d.top else _minimal_in(d, up[x] & mir_mask)
         lds.append(min(mins, key=d.lam_pos.__getitem__))
         rds.append(max(mins, key=d.lam_pos.__getitem__))
     return lattice.SupportData(lsp, rsp, tuple(lds), tuple(rds))
 
 
 def _nar_by_masks(d):
-    full = (1 << d.n) - 1
-    return frozenset(x for x in range(d.n) if d.up[x] | d.dn[x] == full)
+    full, masks = (1 << d.n) - 1, _order_fold(d)
+    return frozenset(x for x in range(d.n) if masks["up"][x] | masks["dn"][x] == full)
 
 
 def _assert_extremes_match_the_masks(d, lattice_diagram):
@@ -706,6 +748,54 @@ def test_extreme_covers_match_the_cover_masks():
     assert (checked, lattices) == (2 + 3 * 5 * 874, 2 + 3 * 4 * 874 + 2001)
 
 
+# -- the readers of positions against the mask bodies they replaced ---------
+
+
+def _min_between_by_masks(d, x, y):
+    """The minimal elements, by a down-mask scan, of the ground elements
+    between the legs of the weak left pair (x, y)."""
+    betw = 0
+    for z in bits(_ground_mask(d)):
+        if (z == x or d.left(x, z)) and (z == y or d.left(z, y)):
+            betw |= 1 << z
+    return tuple(_minimal_in(d, betw))
+
+
+def _meet_irreducible_filters_by_masks(d):
+    return {x: frozenset(bits(_order_fold(d)["up"][x])) for x in d.interior()}
+
+
+def _join_distributive_by_masks(d, t):
+    """Every interval [x, x*], read off the up and down masks, distributive."""
+    masks = _order_fold(d)
+    for x in range(d.n):
+        interval = list(bits(masks["up"][x] & masks["dn"][t.upstar[x]]))
+        for u, v, w in combinations(interval, 3):
+            for a, b, c in ((u, v, w), (v, u, w), (w, u, v)):
+                if t.meet[a][t.join[b][c]] != t.join[t.meet[a][b]][t.meet[a][c]]:
+                    return False
+    return True
+
+
+def test_sweep_readers_match_their_mask_bodies():
+    pairs = lattices = distributive = 0
+    for d in _with_lattices(8):
+        if d.n < 2:
+            continue  # the one-element lattice has no ground
+        for x, y in qp.weak_left_pairs(d):
+            assert qp.min_between(d, x, y) == _min_between_by_masks(d, x, y), (d, x, y)
+            pairs += 1
+        assert qp.meet_irreducible_filters(d) == _meet_irreducible_filters_by_masks(d), d
+        if qp.is_lattice(d):
+            want = _join_distributive_by_masks(d, qp.lattice_tables(d))
+            assert qp.is_join_distributive(d) == want, d
+            lattices += 1
+            distributive += want
+    # the lattices of test_extreme_covers_match_the_cover_masks but the 12
+    # one-element ones: four lattices of each labeling of the size-2 diagram
+    assert (pairs, lattices, distributive) == (450862, 2 + 3 * 4 * 874 + 2001 - 12, 10611)
+
+
 # -- α from joins alone: the Jordan–Hölder permutation ----------------------
 
 
@@ -743,6 +833,36 @@ def test_the_jordan_hoelder_permutation_inverts_the_canonical_form():
 
 
 # -- the lattice tables against the minimal-bounds search ------------------
+
+
+def _no_bound_by_masks(d, x, y, above):
+    """NotALattice's (message, witness) for x and y with its bounds listed by
+    mask scans, or None when they have a join (``above``) or a meet."""
+    masks = _order_fold(d)
+    if above:
+        found, what = _minimal_in(d, masks["up"][x] & masks["up"][y]), "minimal upper"
+    else:
+        found, what = _maximal_in(d, masks["dn"][x] & masks["dn"][y]), "maximal lower"
+    if len(found) < 2:
+        return None
+    return (
+        f"elements {x} and {y} have {what} bounds {found[0]} and {found[1]}",
+        (x, y, found[0], found[1]),
+    )
+
+
+def _assert_bounds_match_the_masks(d):
+    """Every pair of ``d`` without a join or a meet is named by the sweeps as
+    by the mask scans; returns how many such pairs there are."""
+    missing = 0
+    for x, y in combinations(range(d.n), 2):
+        for above in (True, False):
+            want = _no_bound_by_masks(d, x, y, above)
+            if want is not None:
+                e = lattice._no_bound(d, x, y, above)
+                assert (str(e), e.witness) == want, (d, x, y, above)
+                missing += 1
+    return missing
 
 
 def _bounds_by_search(d):
@@ -797,6 +917,9 @@ def test_not_a_lattice_messages_and_witnesses_are_unchanged():
         qp.lattice_tables(upside_down)
     assert str(exc.value) == "elements 1 and 2 have maximal lower bounds 3 and 4"
     assert exc.value.witness == (1, 2, 3, 4)
+    # every pair lacking a join or a meet, not only the first, is named as
+    # the mask scans named it
+    missing = _assert_bounds_match_the_masks(h) + _assert_bounds_match_the_masks(upside_down)
     failures = 0
     for d in _relabelled(7):
         want = _bounds_by_search(d)
@@ -805,9 +928,11 @@ def test_not_a_lattice_messages_and_witnesses_are_unchanged():
             with pytest.raises(qp.NotALattice) as exc:
                 qp.lattice_tables(d)
             assert (str(exc.value), exc.value.witness) == want
+            missing += _assert_bounds_match_the_masks(d)
         else:
             assert qp.is_lattice(d)
     assert failures > 0
+    assert (failures, missing) == (51, 130)
 
 
 # -- slimness against the triple scan --------------------------------------
@@ -1239,11 +1364,13 @@ def test_validate_matches_the_reference_on_every_diagram_and_its_defects():
             _assert_same_outcome(d.n, covers, kept)
             _assert_same_outcome(d.n, covers, left[:i] + [flipped] + left[i + 1:])
             _assert_same_outcome(d.n, covers, left + [flipped])
-            # a dropped pair with a kept one repeated, or a cover run
-            # backwards, in its place
+            # a dropped pair with a kept one repeated, or a cover either
+            # way round, in its place: a cover there can count positions
+            # that draw an order pair as a left pair
             trap = _assert_same_outcome(d.n, covers, kept + kept[:1])
             assert trap[0] is LeftIncomplete
             _assert_same_outcome(d.n, covers, kept + [cover[::-1]])
+            _assert_same_outcome(d.n, covers, kept + [cover])
             # a complete list with a pair repeated is still the diagram
             repeated = _assert_same_outcome(d.n, covers, left + left[i:i + 1])
             assert repeated == (d.lam_pos, d.rho_pos)
@@ -1263,7 +1390,8 @@ def test_validate_matches_the_reference_on_every_diagram_and_its_defects():
 
 def _closed_covers(d):
     """Every strict order pair of ``d``, non-covers included."""
-    return [(x, y) for x in range(d.n) for y in bits(d.up[x]) if x != y]
+    up = _order_fold(d)["up"]
+    return [(x, y) for x in range(d.n) for y in bits(up[x]) if x != y]
 
 
 def test_validate_builds_masks_only_to_name_a_rejection(monkeypatch):
@@ -1655,7 +1783,7 @@ def test_order_dimension_le2_matches_the_backtracking_solver():
         if got is None:
             wider += 1
         else:
-            assert got.up == want.up, (n, covers)
+            assert _order_fold(got)["up"] == _order_fold(want)["up"], (n, covers)
     # 37 sampled six-point posets, the cube and the grid have dimension three
     assert wider == 39
 
@@ -1766,12 +1894,33 @@ def _chains_outcome(rebuild, n, covers, lc, rc):
     return d.lam_pos, d.rho_pos
 
 
-def _assert_chains_match_the_reference(max_size, seed):
-    kinds = {}
+def _draws_the_order_by_masks(n, covers, lc, rc):
+    """Whether the support heights draw the input order, by comparing the
+    drawing's up masks with the input's, as diagram_from_chains did before it
+    asked the sweeps; None for input refused before the drawing."""
+    try:
+        cover_list, _ = diagram._checked(n, covers)
+        up = _order(n, cover_list)
+        lc = diagram._chain_members(n, lc, "left_chain")
+        rc = diagram._chain_members(n, rc, "right_chain")
+    except ValueError:
+        return None
+    heights = zip(transform._heights(up, rc), transform._heights(up, lc))
+    return list(_order_fold(_dominance_diagram([*heights]))["up"]) == up
+
+
+def _assert_chains_match_the_reference(monkeypatch, max_size, seed):
+    # the solver runs exactly where the mask comparison found the drawing
+    # off the input order
+    kinds, solved = {}, []
+    _counting(monkeypatch, transform, "_oriented", solved)
     for n, covers, lc, rc in _chain_inputs(max_size, random.Random(seed)):
         want = _chains_outcome(_diagram_from_chains_reference, n, covers, lc, rc)
+        solved.clear()
         got = _chains_outcome(qp.diagram_from_chains, n, covers, lc, rc)
         assert got == want, (n, covers, lc, rc)
+        draws = _draws_the_order_by_masks(n, covers, lc, rc)
+        assert solved == ([] if draws in (None, True) else ["_oriented"]), (n, covers, lc, rc)
         if isinstance(want[0], type):
             kind = f"{want[0].__name__}: {want[1].split(':')[0]}"
             kind = kind if want[0] is qp.NotSlimSemimodular else want[0].__name__
@@ -1781,9 +1930,9 @@ def _assert_chains_match_the_reference(max_size, seed):
     return kinds
 
 
-def test_diagram_from_chains_matches_the_reference_through_size_6():
+def test_diagram_from_chains_matches_the_reference_through_size_6(monkeypatch):
     # 2364 inputs
-    assert _assert_chains_match_the_reference(6, seed=10) == {
+    assert _assert_chains_match_the_reference(monkeypatch, 6, seed=10) == {
         "accepted": 284,
         "ValueError": 342,
         "ChainsDoNotCoverJir": 1053,
@@ -1796,9 +1945,9 @@ def test_diagram_from_chains_matches_the_reference_through_size_6():
 
 
 @pytest.mark.slow
-def test_diagram_from_chains_matches_the_reference_through_size_7():
+def test_diagram_from_chains_matches_the_reference_through_size_7(monkeypatch):
     # 25 490 inputs
-    assert _assert_chains_match_the_reference(7, seed=11) == {
+    assert _assert_chains_match_the_reference(monkeypatch, 7, seed=11) == {
         "accepted": 1292,
         "ValueError": 1785,
         "ChainsDoNotCoverJir": 9480,
