@@ -91,6 +91,30 @@ MUTANTS = (
         "",
         ("tests/test_enumeration.py::test_split_enumerate_prints_what_one_process_does",),
     ),
+    (  # a child that exits non-zero is named by its exit status, not as
+        # a short result
+        "enumeration.py",
+        "    if status:\n        raise ShareFailed(",
+        "    if False:\n        raise ShareFailed(",
+        ("tests/test_enumeration.py::test_a_child_dying_mid_block_raises_and_leaves_no_child",
+         "tests/test_enumeration.py::test_a_failed_share_raises_and_leaves_no_child"),
+    ),
+    (  # every way out of the scheduler reaps the children it killed
+        "enumeration.py",
+        "                for child in children.values():\n                    _reaped(child)\n",
+        "",
+        ("tests/test_enumeration.py::test_an_interrupted_caller_kills_and_reaps_its_children",
+         "tests/test_enumeration.py::test_an_interrupted_enumeration_kills_and_reaps_its_children",
+         "tests/test_enumeration.py::test_a_closed_or_interrupted_stdout_leaves_no_child"),
+    ),
+    (  # an entry of the wrong length fails to unpack with a ValueError,
+        # which sends the list to the locating pass
+        "io.py",
+        "    except (TypeError, ValueError):",
+        "    except TypeError:",
+        (ORACLES + "test_a_bad_entry_anywhere_is_named_as_the_per_entry_pass_names_it",
+         ORACLES + "test_parse_pairs_matches_the_reference_on_mutated_lists"),
+    ),
     (  # the fast read of a pair list takes exact ints only
         "io.py",
         "            if type(a) is int and type(b) is int and 0 <= a < n and 0 <= b < n\n"

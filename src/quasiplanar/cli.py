@@ -21,7 +21,7 @@ from contextlib import closing, contextmanager
 from itertools import chain
 
 from .diagram import canonical_form, canonical_relabel, from_canonical, similar
-from .enumeration import _rank_blocks, count_quasiplanar, expected_count, verify_suite
+from .enumeration import _in_blocks, count_quasiplanar, expected_count, verify_suite
 from .errors import ShareFailed
 from .io import _COMPACT, parse, render_dot, serialize
 from .transform import _rebuilt, lattice_from_filters, lattice_from_pairs, to_quasiplanar
@@ -103,16 +103,17 @@ def _documents(perms):
 
 
 def _cmd_enumerate(args):
-    # the blocks run over every CPU and come back in rank order; the size
-    # is checked here, before DIR is made
-    blocks = _rank_blocks(args.size, _documents)
+    # the size is checked here, before DIR is made; the blocks run over
+    # every CPU and come back in rank order
+    total = expected_count(args.size)
+    blocks = _in_blocks(args.size, _documents, "the enumeration's block")
     with closing(blocks):
         docs = chain.from_iterable(blocks)
         if args.out is None:
             for text in docs:
                 print(text)
             return
-        width = len(str(max(expected_count(args.size) - 1, 0)))
+        width = len(str(max(total - 1, 0)))
         os.makedirs(args.out, exist_ok=True)
         count = 0
         for i, text in enumerate(docs):

@@ -5,11 +5,11 @@ decoding permutations.  ``oracle_enumerate`` reproduces the same classes
 the slow way: generate every labeled bounded poset, try every orientation
 of its incomparable pairs, keep the valid ones, and group them by explicit
 bijection search, never consulting canonical forms.  ``verify_suite`` runs
-a battery of named structural laws over every diagram of a size, split
-into one share of the canonical ranks per available CPU, and returns
-failures as data rather than raising.  ``count_quasiplanar`` and CLI
-``enumerate`` run the ranks in fixed-size blocks over every CPU, through
-the same forking loop, ``_in_blocks``.
+a battery of named structural laws over every diagram of a size and
+returns failures as data rather than raising.  It, ``count_quasiplanar``
+and CLI ``enumerate`` run the canonical ranks through one scheduler,
+``_in_blocks``, which deals blocks of 120 ranks round-robin over every
+available CPU.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ def count_quasiplanar(size):
     CPU this process may use (:func:`_in_blocks`; ``taskset -c 0`` gives
     one process), and each process holds at most one block.
     """
-    return sum(_rank_blocks(size, _decoded))
+    return sum(_in_blocks(size, _decoded, "the enumeration's block"))
 
 
 def _decoded(perms):
@@ -101,9 +101,10 @@ def _decoded(perms):
 
 # -- blocks of ranks over every CPU -----------------------------------------
 
-# ranks per block of count_quasiplanar and CLI enumerate: at size 10 a
-# block's documents pickle to about 200 kB, past a pipe's 64 kB buffer
-_BLOCK = 1024
+# ranks per block: 5! = 120, so every size up to 7 is one block, which the
+# caller runs itself, and size 8 is six; at size 10 a block's documents
+# pickle to about 23 kB, within a pipe's 64 kB buffer
+_BLOCK = 120
 
 
 def _cpus():
@@ -114,39 +115,30 @@ def _cpus():
         return os.cpu_count() or 1
 
 
-def _processes(size, blocks):
-    """How many processes share ``blocks`` blocks of a size's ranks.
+def _processes(total):
+    """How many processes share the blocks of ``total`` ranks.
 
-    One, the caller, below size 7 (24 diagrams or fewer), without
-    ``os.fork``, with a second thread alive (forking it is unsafe), or on
-    one CPU; else one per CPU, but no more than there are blocks.
+    One, the caller, without ``os.fork``, with a second thread alive
+    (forking it is unsafe), or on one CPU; else one per CPU, but no more
+    than there are blocks.
     """
-    forkable = size >= 7 and hasattr(os, "fork") and threading.active_count() == 1
-    return min(_cpus(), blocks) if forkable else 1
+    forkable = hasattr(os, "fork") and threading.active_count() == 1
+    return min(_cpus(), -(-total // _BLOCK)) if forkable else 1
 
 
-def _rank_blocks(size, work):
-    """:func:`_in_blocks` over all ranks of a size, ``_BLOCK`` to a block.
-
-    The size is checked at the call, before any block runs.
-    """
-    total = expected_count(size)
-    blocks = [(lo, min(lo + _BLOCK, total)) for lo in range(0, total, _BLOCK)]
-    return _in_blocks(size, blocks, work, "the enumeration's block")
-
-
-def _walk(size, blocks, work):
-    """Yield ``work`` of each block's permutations, for ascending blocks.
+def _walk(size, starts, work):
+    """Yield ``work`` of the permutations of each block, for ascending starts.
 
     One ``permutations`` iterator walks past the ranks between the blocks;
-    ``work`` consumes each block's iterator to its end.
+    ``work`` consumes each block's iterator to its end, which for the last
+    block is the end of the ranks.
     """
     perms = permutations(range(1, size - 1))
     at = 0
-    for lo, hi in blocks:
+    for lo in starts:
         next(islice(perms, lo - at, lo - at), None)
-        yield work(islice(perms, hi - lo))
-        at = hi
+        yield work(islice(perms, _BLOCK))
+        at = lo + _BLOCK
 
 
 @contextmanager
@@ -159,8 +151,8 @@ def _no_interrupt():
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
 
-def _fork_walk(size, blocks, work, siblings):
-    """Walk ``blocks`` in a forked child; returns its pid and its pipe's read end.
+def _fork_walk(size, starts, work, siblings):
+    """Walk the blocks at ``starts`` in a forked child; returns its pid and read end.
 
     The child first closes its copies of the pipes of the children forked
     before it, so the caller is the one reader of every pipe, and a child
@@ -179,7 +171,7 @@ def _fork_walk(size, blocks, work, siblings):
                 for _, pipe in siblings:
                     pipe.close()
                 with open(w, "wb") as out:
-                    for result in _walk(size, blocks, work):
+                    for result in _walk(size, starts, work):
                         data = pickle.dumps(result)
                         out.write(len(data).to_bytes(8, "little"))
                         out.write(data)
@@ -202,18 +194,22 @@ def _reaped(child):
     return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
 
-def _in_blocks(size, blocks, work, what):
-    """Yield ``work`` of each of ``blocks`` in order, run over every CPU.
+def _in_blocks(size, work, what):
+    """Yield ``work`` of each block of a size's canonical ranks, in rank order.
 
-    ``blocks`` are ascending ranges ``[lo, hi)`` of a size's canonical
-    ranks, and ``work`` maps an iterator over a block's permutations to a
-    picklable result.  With k processes (:func:`_processes`), block i runs
-    in process i mod k: the caller runs blocks 0, k, 2k, ... itself and a
-    forked child each other residue, each process walking one
-    ``permutations`` iterator past the blocks of the others.  The caller
-    reads the pipes in block order and a child's write blocks while its
-    pipe is full, so each process holds at most one block's result and the
-    results come in the order, and with the values, of a one-process run.
+    The one scheduler of ``count``, ``enumerate`` and the law suite.  The
+    ranks go in blocks ``[lo, lo + _BLOCK)``, the last one short, and
+    ``work`` maps an iterator over a block's permutations to a picklable
+    result.  With k processes (:func:`_processes`), block i runs in process
+    i mod k: the caller runs blocks 0, k, 2k, ... itself and a forked child
+    each other residue, each process walking one ``permutations`` iterator
+    past the blocks of the others.  The blocks are dealt from a ``range``
+    of their starts, which is never listed or measured, so a size whose
+    ranks no list could hold starts at once.  The caller reads the pipes in
+    block order and a child's write blocks while its pipe is full, so each
+    process holds at most one block's result and the results come in the
+    order, and with the values, of a one-process run.  The size is checked
+    when the first result is asked for.
 
     A child that exits non-zero or sends a truncated result raises
     ShareFailed naming ``what`` and the block's ranks.  On every way out,
@@ -222,17 +218,20 @@ def _in_blocks(size, blocks, work, what):
     children are forked with SIGINT blocked and keep it blocked, so an
     interrupt never unwinds a child into the caller's code.
     """
-    k = _processes(size, len(blocks))
-    mine = _walk(size, blocks[::k], work)
+    total = expected_count(size)
+    starts = range(0, total, _BLOCK)
+    k = _processes(total)
+    mine = _walk(size, starts[::k], work)
     children = {}  # residue -> (pid, pipe) of each child not yet reaped
     try:
         if k > 1:
             with _no_interrupt():
                 for j in range(1, k):
-                    children[j] = _fork_walk(size, blocks[j::k], work, children.values())
-        for i, block in enumerate(blocks):
+                    children[j] = _fork_walk(size, starts[j::k], work, children.values())
+        for i, lo in enumerate(starts):
             if i % k:
-                yield _received(children, i % k, block, i + k >= len(blocks), what)
+                block = (lo, min(lo + _BLOCK, total))
+                yield _received(children, i % k, block, lo + k * _BLOCK >= total, what)
             else:
                 yield next(mine)
     finally:
@@ -486,7 +485,7 @@ class EnumerationReport:
     expected: int
     results: tuple[CheckResult, ...]
     elapsed: float
-    processes: int = 1  # how many processes ran shares of the diagrams
+    processes: int = 1  # how many processes ran blocks of the diagrams
 
     @property
     def passed(self):
@@ -956,15 +955,6 @@ def check_names():
     return tuple(name for name, _ in _CHECKS)
 
 
-def _shares(size, total):
-    """Contiguous ranges ``[lo, hi)`` of ranks, one per process of the suite.
-
-    As many as :func:`_processes` gives for ``total`` one-rank blocks.
-    """
-    k = _processes(size, total)
-    return [(i * total // k, (i + 1) * total // k) for i in range(k)]
-
-
 def _fail(ledger, name, witness, more=0):
     """Record a failure of a law, then ``more`` failures that followed it."""
     entry = ledger[name]
@@ -974,7 +964,7 @@ def _fail(ledger, name, witness, more=0):
         entry[:] = witness, more
 
 
-def _run_share(perms):
+def _run_block(perms):
     """Run every law over the diagrams of the canonical permutations ``perms``.
 
     Returns the number of diagrams, a ledger ``{law: [first witness, how
@@ -1007,27 +997,27 @@ def verify_suite(size):
     more followed).  A final result checks that the filter lattices of
     distinct diagrams are pairwise dissimilar.
 
-    On POSIX, from size 7 on, the diagrams are split into one contiguous
-    share of the canonical ranks per CPU this process may use, run by
-    :func:`_in_blocks` as one block per process: the caller checks the
-    first share and a forked child each other one (``taskset -c 0`` gives
-    one process).  The report is the same as a one-process run's
-    but for ``elapsed`` and ``processes``.  A child sends back only its
-    share's ledger and lattice keys, so its own memory stays that of the
-    caller at the fork plus one share's diagrams.  A child that dies or
-    reports short raises ShareFailed rather than returning a report.
+    On POSIX, the diagrams run in the blocks of canonical ranks that
+    :func:`_in_blocks` deals round-robin to the caller and one forked
+    child per further CPU this process may use (``taskset -c 0`` gives one
+    process).  Every size up to 7 is one block, which the caller runs.  The
+    blocks' ledgers and lattice keys are merged in rank order, so the
+    report is the same as a one-process run's but for ``elapsed`` and
+    ``processes``.  A child sends back each block's ledger and lattice keys
+    as it finishes it, so its own memory stays that of the caller at the
+    fork plus one block's diagrams.  A child that dies or reports short
+    raises ShareFailed rather than returning a report.
     """
     start = time.perf_counter()
     total = expected_count(size)
-    shares = _shares(size, total)
     ledger = {name: ["", 0] for name in (*check_names(), _DISSIMILAR)}
     count = 0
     perm_of_lattice = {}
-    shared = _in_blocks(size, shares, _run_share, "the law suite's share")
-    with closing(shared):
-        for share_count, share_ledger, keys in shared:
-            count += share_count
-            for name, (first, more) in share_ledger.items():
+    blocks = _in_blocks(size, _run_block, "the law suite's block")
+    with closing(blocks):
+        for block_count, block_ledger, keys in blocks:
+            count += block_count
+            for name, (first, more) in block_ledger.items():
                 if first:
                     _fail(ledger, name, first, more)
             for key, perm in keys:
@@ -1040,4 +1030,4 @@ def verify_suite(size):
         for name, (first, more) in ledger.items()
     )
     elapsed = time.perf_counter() - start
-    return EnumerationReport(size, count, total, results, elapsed, len(shares))
+    return EnumerationReport(size, count, total, results, elapsed, _processes(total))

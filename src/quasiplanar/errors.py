@@ -83,10 +83,10 @@ class MalformedDocument(ValueError):
 class ShareFailed(RuntimeError):
     """A child process running a block of canonical ranks did not report it.
 
-    The block is a share of the law suite, or a block of ``count`` or
-    ``enumerate``.  ``ranks`` is its range ``(lo, hi)`` of canonical ranks
-    and ``status`` the child's exit status, or minus the number of the
-    signal that ended it.
+    The law suite, ``count`` and ``enumerate`` lay out their ranks in the
+    same blocks.  ``ranks`` is the block's range ``(lo, hi)`` of canonical
+    ranks and ``status`` the child's exit status, or minus the number of
+    the signal that ended it.
     """
 
     def __init__(self, message, ranks, status):

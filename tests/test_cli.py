@@ -9,6 +9,7 @@ import json
 import os
 import random
 import re
+import resource
 import signal
 import subprocess
 import sys
@@ -211,8 +212,16 @@ def test_usage_errors_exit_three(cli, q5_file):
     ["verify", "--size", "9"],
 ], ids=["count", "enumerate", "verify"])
 def test_an_interrupt_exits_130_with_one_line(argv):
-    # the child names itself ready once the package is imported, so the
-    # interrupt lands inside main; each of these runs for many seconds
+    # each of these runs for many seconds
+    assert _interrupted(argv) == (130, "interrupted\n")
+
+
+def _interrupted(argv, after=0.5, preexec_fn=None):
+    """Exit code and stderr of CLI ``argv``, sent SIGINT ``after`` seconds in.
+
+    The child names itself ready once the package is imported, so the
+    interrupt lands inside main.
+    """
     script = (
         "import os, sys; from quasiplanar.cli import main; "
         "os.write(int(sys.argv[1]), b'.'); sys.exit(main(sys.argv[2:]))"
@@ -221,14 +230,31 @@ def test_an_interrupt_exits_130_with_one_line(argv):
     proc = subprocess.Popen(
         [sys.executable, "-c", script, str(w), *argv], pass_fds=(w,),
         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        preexec_fn=preexec_fn,
     )
     os.close(w)
     with open(r, "rb") as ready:
         assert ready.read(1) == b"."
-    time.sleep(0.5)
+    time.sleep(after)
     proc.send_signal(signal.SIGINT)
     _, err = proc.communicate(timeout=60)
-    assert (proc.returncode, err) == (130, "interrupted\n")
+    return proc.returncode, err
+
+
+def _address_space_of_200_mb():
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    limit = 200 * 2**20
+    if hard != resource.RLIM_INFINITY:
+        limit = min(limit, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+
+
+def test_a_size_past_any_list_of_blocks_starts_in_bounded_memory():
+    # size 30 has 28! ranks: a list of their blocks fills 200 MB of address
+    # space within a second and dies of a MemoryError, and len() of a range
+    # of them overflows, so the blocks must be dealt as they run
+    argv = ["count", "--size", "30"]
+    assert _interrupted(argv, 1.5, _address_space_of_200_mb) == (130, "interrupted\n")
 
 
 def test_count_mismatch_exits_two(monkeypatch, capsys):

@@ -412,10 +412,12 @@ print(report.passed, failed[0], law.passed, law.witness)
 # -- the suite split over processes ----------------------------------------
 
 
-def _on_cpus(monkeypatch, cpus, size):
-    """verify_suite(size) as if this process could run on ``cpus`` CPUs."""
+def _on_cpus(monkeypatch, cpus, size, block):
+    """verify_suite(size) as if this process could run on ``cpus`` CPUs,
+    with ``block`` ranks to a block."""
     with monkeypatch.context() as m:
         m.setattr(enumeration, "_cpus", lambda: cpus)
+        m.setattr(enumeration, "_BLOCK", block)
         return qp.verify_suite(size)
 
 
@@ -433,24 +435,50 @@ def _no_child_left():
 
 
 def test_split_suite_reports_what_one_process_does(monkeypatch):
+    # seven ranks to a block gives each process several blocks from size 6 on
     for size in range(2, 8):
-        single, split = (_on_cpus(monkeypatch, k, size) for k in (1, 3))
+        single, split = (_on_cpus(monkeypatch, k, size, 7) for k in (1, 3))
         assert split.passed and _same_report(split, single)
-        assert (single.processes, split.processes) == (1, 3 if size >= 7 else 1)
+        blocks = -(-factorial(size - 2) // 7)
+        assert (single.processes, split.processes) == (1, min(3, blocks))
+    # at 120 ranks to a block, every size up to 7 is one block in the caller
+    assert _on_cpus(monkeypatch, 3, 7, enumeration._BLOCK).processes == 1
     assert _no_child_left()
 
 
 @pytest.mark.slow
 def test_split_suite_reports_what_one_process_does_at_size_eight(monkeypatch):
-    single, split = (_on_cpus(monkeypatch, k, 8) for k in (1, 3))
+    block = enumeration._BLOCK
+    single, split = (_on_cpus(monkeypatch, k, 8, block) for k in (1, 3))
     assert split.passed and _same_report(split, single)
     assert (single.processes, split.processes) == (1, 3)
     assert _no_child_left()
 
 
+def test_the_suite_deals_its_blocks_round_robin(monkeypatch, tmp_path):
+    # on two CPUs, size 8's six blocks of 120 ranks alternate between the
+    # caller and one child; a law records each diagram's process
+    log = tmp_path / "pids"
+
+    def records_its_process(ctx):
+        with open(log, "a") as f:
+            f.write(f"{qp.canonical_form(ctx.q)} {os.getpid()}\n")
+
+    monkeypatch.setattr(enumeration, "_CHECKS", (("records", records_its_process),))
+    report = _on_cpus(monkeypatch, 2, 8, enumeration._BLOCK)
+    assert report.passed and report.processes == 2
+    pid_of = dict(line.rsplit(" ", 1) for line in log.read_text().splitlines())
+    ranks = [pid_of[str(perm)] for perm in permutations(range(1, 7))]
+    caller, child = str(os.getpid()), ranks[120]
+    assert child != caller
+    assert ranks == [(caller, child)[r // 120 % 2] for r in range(720)]
+    assert _no_child_left()
+
+
 def test_split_suite_names_the_first_failure_across_shares(monkeypatch):
-    # with three shares of 40 ranks, the law fails on ranks 24-47, across
-    # the first boundary, and on ranks 96-119, all in the last share
+    # with three processes and ten ranks to a block, the law fails on ranks
+    # 24-47, in blocks 2, 3 and 4 of three processes, and on ranks 96-119,
+    # in the last three blocks
     def injected(ctx):
         if qp.canonical_form(ctx.q)[0] in (2, 5):
             raise qp.LawViolation("injected failure")
@@ -458,9 +486,7 @@ def test_split_suite_names_the_first_failure_across_shares(monkeypatch):
     monkeypatch.setattr(
         enumeration, "_CHECKS", enumeration._CHECKS + (("injected law", injected),)
     )
-    monkeypatch.setattr(enumeration, "_cpus", lambda: 3)
-    assert enumeration._shares(7, 120) == [(0, 40), (40, 80), (80, 120)]
-    single, split = (_on_cpus(monkeypatch, k, 7) for k in (1, 3))
+    single, split = (_on_cpus(monkeypatch, k, 7, 10) for k in (1, 3))
     assert split.processes == 3 and _same_report(split, single)
     assert [r.name for r in split.results if not r.passed] == ["injected law"]
     assert split.results[-2].witness == (
@@ -471,7 +497,7 @@ def test_split_suite_names_the_first_failure_across_shares(monkeypatch):
 
 def test_split_suite_replays_shared_filter_lattices_in_rank_order(monkeypatch):
     _share_one_filter_lattice(monkeypatch)
-    single, split = (_on_cpus(monkeypatch, k, 7) for k in (1, 3))
+    single, split = (_on_cpus(monkeypatch, k, 7, 10) for k in (1, 3))
     assert split.processes == 3 and _same_report(split, single)
     assert split.results[-1].witness == (
         "perm (1, 2, 3, 5, 4) and perm (1, 2, 3, 4, 5) share a filter lattice"
@@ -485,29 +511,38 @@ def _with_law(monkeypatch, name, law):
 
 
 def test_a_failed_share_raises_and_leaves_no_child(monkeypatch):
-    caller = os.getpid()
+    # two processes, twenty ranks to a block: the child sends block 1 and
+    # dies at rank 65, in block 3, ranks [60, 80)
+    caller, dying = os.getpid(), _rank(7, 65)
 
     def dies_in_a_child(ctx):
-        if os.getpid() != caller:
+        if os.getpid() != caller and qp.canonical_form(ctx.q) == dying:
             os._exit(3)
 
     _with_law(monkeypatch, "dies in a child", dies_in_a_child)
     with pytest.raises(qp.ShareFailed) as exc:
-        _on_cpus(monkeypatch, 2, 7)
-    assert (exc.value.ranks, exc.value.status) == ((60, 120), 3)
+        _on_cpus(monkeypatch, 2, 7, 20)
+    assert (exc.value.ranks, exc.value.status) == ((60, 80), 3)
     assert str(exc.value) == (
-        "the law suite's share of ranks [60, 120) ended with exit status 3"
+        "the law suite's block of ranks [60, 80) ended with exit status 3"
     )
     assert _no_child_left()
 
 
 def test_a_truncated_share_raises_and_leaves_no_child(monkeypatch):
-    real = enumeration.pickle.dumps
-    monkeypatch.setattr(enumeration.pickle, "dumps", lambda obj: real(obj)[:-7])
+    # two processes, twenty ranks to a block: the child's third result,
+    # block 5, ranks [100, 120), is its last and goes short
+    real, sent = enumeration.pickle.dumps, []
+
+    def dumps(obj):
+        sent.append(None)
+        return real(obj)[:-7] if len(sent) == 3 else real(obj)
+
+    monkeypatch.setattr(enumeration.pickle, "dumps", dumps)
     with pytest.raises(qp.ShareFailed) as exc:
-        _on_cpus(monkeypatch, 2, 7)
-    assert (exc.value.ranks, exc.value.status) == ((60, 120), 0)
-    assert "ranks [60, 120) sent a truncated result" in str(exc.value)
+        _on_cpus(monkeypatch, 2, 7, 20)
+    assert (exc.value.ranks, exc.value.status) == ((100, 120), 0)
+    assert "ranks [100, 120) sent a truncated result" in str(exc.value)
     assert _no_child_left()
 
 
@@ -520,20 +555,22 @@ def test_an_interrupted_caller_kills_and_reaps_its_children(monkeypatch):
 
     _with_law(monkeypatch, "interrupts the caller", interrupts_the_caller)
     with pytest.raises(KeyboardInterrupt):
-        _on_cpus(monkeypatch, 3, 7)
+        _on_cpus(monkeypatch, 3, 7, 10)
     assert _no_child_left()
 
 
 def test_suite_runs_in_process_without_a_safe_fork(monkeypatch):
-    single = _on_cpus(monkeypatch, 1, 7)
+    single = _on_cpus(monkeypatch, 1, 7, 10)
 
     def forbidden():
         raise AssertionError("forked")
 
     monkeypatch.setattr(enumeration, "_cpus", lambda: 2)
     monkeypatch.setattr(os, "fork", forbidden)
-    report = qp.verify_suite(6)
-    assert report.passed and report.processes == 1
+    # one block runs in the caller
+    report = qp.verify_suite(7)
+    assert report.processes == 1 and _same_report(report, single)
+    monkeypatch.setattr(enumeration, "_BLOCK", 10)
     # a second live thread makes fork unsafe
     release = threading.Event()
     thread = threading.Thread(target=release.wait, args=(60,))
@@ -595,7 +632,7 @@ def _decoding(monkeypatch, module, perm, in_caller, effect):
 
 def test_split_enumerate_prints_what_one_process_does(monkeypatch, capsys):
     # seven ranks to a block gives each process several blocks, with skips
-    # between them and a short last block, from size 7 on
+    # between them and a short last block, from size 6 on
     forked = _forks(monkeypatch)
     for size in range(2, 9):
         for block in (7, enumeration._BLOCK):
@@ -605,7 +642,7 @@ def test_split_enumerate_prints_what_one_process_does(monkeypatch, capsys):
             split = _enumerated(monkeypatch, capsys, 3, block, *argv)
             assert single[0] == 0 and single[2] == "" and split == single
             blocks = -(-factorial(size - 2) // block)
-            assert len(forked) == (min(3, blocks) - 1 if size >= 7 else 0)
+            assert len(forked) == min(3, blocks) - 1
             forked.clear()
     assert _no_child_left()
 
@@ -638,7 +675,8 @@ def test_split_count_counts_what_one_process_does(monkeypatch):
     assert [qp.count_quasiplanar(s) for s in range(2, 9)] == [
         factorial(s - 2) for s in range(2, 9)
     ]
-    assert len(forked) == 4
+    # sizes 6, 7 and 8 have more than one block of seven ranks
+    assert len(forked) == 6
     assert _no_child_left()
 
 
