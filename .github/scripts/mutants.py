@@ -48,12 +48,30 @@ MUTANTS = (
         "d.lam_order[lam[x]:lam[s] - 1]",
         (ORACLES + "test_sweep_readers_match_their_mask_bodies",),
     ),
-    (  # a principal filter holds its own element
+    (  # a quadrant, and so a principal filter, holds its own corner
         "transform.py",
-        "if rho[z] >= rho[x])",
-        "if rho[z] > rho[x])",
+        "if rho[z] >= rho[y])",
+        "if rho[z] > rho[y])",
         (ORACLES + "test_sweep_readers_match_their_mask_bodies",
          "tests/test_transform.py::test_meet_irreducible_filters_of_capped_diamond"),
+    ),
+    (  # of two filters of one size, the one holding the lowest element the
+        # other lacks has the larger mask over reversed labels, and comes first
+        "transform.py",
+        "(f[1].bit_count(), -f[1])",
+        "(f[1].bit_count(), f[1])",
+        (ORACLES + "test_filters_come_in_label_order",
+         "tests/test_acceptance.py::test_criterion_7_desk_fixtures",
+         "tests/test_transform.py::test_filter_family_of_capped_diamond",
+         "tests/test_transform.py::test_filter_lattice_of_capped_diamond"),
+    ),
+    (  # a filter mask holds element z at bit n - 1 - z
+        "transform.py",
+        "_suffix_masks(lam[::-1]), _suffix_masks(rho[::-1])",
+        "_suffix_masks(lam), _suffix_masks(rho)",
+        (ORACLES + "test_filters_are_the_quadrants_of_their_pairs",
+         ORACLES + "test_filters_come_in_label_order",
+         "tests/test_transform.py::test_filter_family_of_capped_diamond"),
     ),
     (  # the drawing has the input's order only if its covers are order pairs
         "transform.py",
@@ -98,6 +116,14 @@ MUTANTS = (
         "    if False:\n        raise ShareFailed(",
         ("tests/test_enumeration.py::test_a_child_dying_mid_block_raises_and_leaves_no_child",
          "tests/test_enumeration.py::test_a_failed_share_raises_and_leaves_no_child"),
+    ),
+    (  # a child whose whole message does not unpickle may still be
+        # running: it is killed, not waited for
+        "enumeration.py",
+        "        os.kill(pid, signal.SIGKILL)\n        status = _retired(children, j)\n",
+        "        status = _retired(children, j)\n",
+        ("tests/test_enumeration.py::"
+         "test_a_bad_message_from_a_live_child_kills_it_and_leaves_no_child",),
     ),
     (  # every way out of the scheduler reaps the children it killed
         "enumeration.py",

@@ -243,19 +243,31 @@ def _in_blocks(size, work, what):
                     _reaped(child)
 
 
+def _retired(children, j):
+    """Reap child j, then drop it from ``children``; returns its exit status.
+
+    A child leaves ``children`` only once reaped, so an interrupt during
+    the wait leaves it to the ``finally`` of :func:`_in_blocks`.
+    """
+    status = _reaped(children[j])
+    del children[j]
+    return status
+
+
 def _received(children, j, block, last, what):
     """The result child j sends for ``block``.
 
     The child is reaped after its last block, when its pipe ends short, and
-    when its result does not unpickle.
+    when its result does not unpickle; a child that may still be running
+    is killed first.
     """
-    pipe = children[j][1]
+    pid, pipe = children[j]
     head = pipe.read(8)
     length = int.from_bytes(head, "little")
     data = pipe.read(length) if len(head) == 8 else b""
     got = len(head) + len(data)
     whole = got == 8 + length
-    status = _reaped(children.pop(j)) if last or not whole else None
+    status = _retired(children, j) if last or not whole else None
     lo, hi = block
     if status:
         raise ShareFailed(
@@ -267,8 +279,9 @@ def _received(children, j, block, last, what):
             return pickle.loads(data)
     except (pickle.UnpicklingError, EOFError):
         pass
-    if status is None:  # a whole message that does not unpickle
-        status = _reaped(children.pop(j))
+    if status is None:  # a whole message from a live child that does not unpickle
+        os.kill(pid, signal.SIGKILL)
+        status = _retired(children, j)
     raise ShareFailed(
         f"{what} of ranks [{lo}, {hi}) sent a truncated result of {got} bytes "
         f"and ended with exit status {status}", block, status,

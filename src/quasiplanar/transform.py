@@ -17,7 +17,8 @@ The filters are never searched for: each weak left pair (x, y) yields one,
 the up-closure of the elements weakly between x and y, and every filter
 arises from exactly one pair.  That up-closure is the quadrant of the
 elements at or after x in one sweep and y in the other: one AND of two masks
-per pair, not a test of all 2^n subsets.  The definition-level scan lives on
+per pair, not a test of all 2^n subsets, and the mask is the filter until
+a caller asks for its elements.  The definition-level scan lives on
 in :mod:`quasiplanar.enumeration` as the oracle of the law "filters and weak
 pairs are equinumerous".  The constructions here only construct; the laws
 they obey are checked by :func:`~quasiplanar.enumeration.verify_suite`.
@@ -98,7 +99,8 @@ class FilterFamily:
 
     ``filters`` holds one filter per weak left pair, the up-closure of the
     elements weakly between its legs, sorted by (size, elements); that is
-    the label order used by :func:`lattice_from_filters`.  ``left_chain``
+    the label order of :func:`lattice_from_filters_labeled`, which
+    :func:`_pair_filters` reads off the filters' masks.  ``left_chain``
     and ``right_chain`` run from the full ground set down to the singleton
     top, shrinking by one element per step; ``left_steps[i]`` is the
     element removed from ``left_chain[i]``, dually for the right.  The left
@@ -121,8 +123,8 @@ def _peel(d, leftmost):
 
     Each step adds a maximal element of the complement: the leftmost one
     for the left peeling, the rightmost for the right peeling.  Returns the
-    shrinking chain as masks (ground set first) and the removed elements
-    in step order.
+    shrinking chain (ground set first) and the removed elements in step
+    order.
 
     The leftmost maximal element of a set is its last one in the
     right-to-left sweep: nothing later there lies above it, and each other
@@ -131,21 +133,40 @@ def _peel(d, leftmost):
     and top left out, and its chain is the sweep's suffixes from position
     1 on; the right peeling does the same on the left-to-right sweep.
     """
-    pos, order = (d.rho_pos, d.rho_order) if leftmost else (d.lam_pos, d.lam_order)
-    return _suffix_masks(pos)[1:d.n], list(order[1:-1])
+    order = d.rho_order if leftmost else d.lam_order
+    return tuple(frozenset(order[i:]) for i in range(1, d.n)), order[1:-1]
+
+
+def _quadrant(d, x, y):
+    """The elements at or after x in the left-to-right sweep and at or after
+    y in the right-to-left sweep: the filter of the weak left pair (x, y)."""
+    rho = d.rho_pos
+    return frozenset(z for z in d.lam_order[d.lam_pos[x]:] if rho[z] >= rho[y])
 
 
 def _pair_filters(d):
-    """(size, elements, pair) of each weak left pair's filter, in label order;
-    the filter of (x, y) is the quadrant after x in one sweep, y in the other."""
+    """Each weak left pair with its filter's mask, in label order.
+
+    The filter of (x, y) is the quadrant after x in one sweep, y in the
+    other, one AND of two suffix masks.  The masks are over reversed
+    labels, element z at bit n - 1 - z, so the label order (size, sorted
+    elements) is (popcount, -mask): of two filters of one size, the one
+    holding the lowest element the other lacks has that element's bit, the
+    highest that differs, and so the larger mask.  No element is listed
+    here; :func:`_elements` decodes a mask for the callers that return
+    filters.
+    """
     lam, rho = d.lam_pos, d.rho_pos
-    after_l, after_r = _suffix_masks(lam), _suffix_masks(rho)
-    found = []
-    for x, y in weak_left_pairs(d):
-        mask = after_l[lam[x]] & after_r[rho[y]]
-        found.append((mask.bit_count(), list(bits(mask)), (x, y)))
-    found.sort()
+    after_l, after_r = _suffix_masks(lam[::-1]), _suffix_masks(rho[::-1])
+    found = [(p, after_l[lam[p[0]]] & after_r[rho[p[1]]]) for p in weak_left_pairs(d)]
+    found.sort(key=lambda f: (f[1].bit_count(), -f[1]))
     return found
+
+
+def _elements(n, mask):
+    """The filter held by a mask of :func:`_pair_filters`, whose bit n - 1 - z
+    stands for element z."""
+    return frozenset(n - 1 - z for z in bits(mask))
 
 
 def enumerate_hco_filters(d):
@@ -155,16 +176,10 @@ def enumerate_hco_filters(d):
     operation per pair; the law suite compares the result with a scan of
     every subset against the definition.
     """
-    filters = tuple(frozenset(elems) for _, elems, _ in _pair_filters(d))
+    filters = tuple(_elements(d.n, mask) for _, mask in _pair_filters(d))
     left_chain, left_steps = _peel(d, leftmost=True)
     right_chain, right_steps = _peel(d, leftmost=False)
-    return FilterFamily(
-        filters,
-        tuple(frozenset(bits(m)) for m in left_chain),
-        tuple(frozenset(bits(m)) for m in right_chain),
-        tuple(left_steps),
-        tuple(right_steps),
-    )
+    return FilterFamily(filters, left_chain, right_chain, left_steps, right_steps)
 
 
 def hco_closure(d, elements):
@@ -172,16 +187,15 @@ def hco_closure(d, elements):
 
     That is the filter of the weak left pair (leftmost, rightmost minimal
     element of ``elements``), which :func:`_pair_key` reads as the first
-    element in each sweep, so the closure is the quadrant at and after
-    those two sweep positions: it holds both, hence every minimal element
-    between them and everything above.  The closure of no elements is
-    {top}, the filter of the pair (top, top).
+    element in each sweep, so the closure is the :func:`_quadrant` at and
+    after those two sweep positions: it holds both, hence every minimal
+    element between them and everything above.  The closure of no elements
+    is {top}, the filter of the pair (top, top).
     """
     _check_distinct_ends(d)
     elems = {_ground_element(d, e) for e in elements}
     x, y = _pair_key(d, elems) if elems else (d.top, d.top)
-    lam, rho = d.lam_pos, d.rho_pos
-    return frozenset(z for z in range(d.n) if lam[z] >= lam[x] and rho[z] >= rho[y])
+    return _quadrant(d, x, y)
 
 
 def min_between(d, x, y):
@@ -249,14 +263,18 @@ def lattice_from_filters_labeled(d):
     (diagram, labels) with ``labels[i]`` the filter carried by element i.
     """
     found = _pair_filters(d)
-    keys = [(d.lam_pos[x], d.rho_pos[y]) for _, _, (x, y) in found]
-    filters = tuple(frozenset(elems) for _, elems, _ in found)
-    return _dominance_diagram(keys), filters
+    keys = [(d.lam_pos[x], d.rho_pos[y]) for (x, y), _ in found]
+    return _dominance_diagram(keys), tuple(_elements(d.n, mask) for _, mask in found)
 
 
 def lattice_from_filters(d):
-    """The horizontally convex filter lattice of ``d`` as a diagram."""
-    return lattice_from_filters_labeled(d)[0]
+    """The horizontally convex filter lattice of ``d`` as a diagram.
+
+    The labelled construction without its labels: it reads the pairs of
+    :func:`_pair_filters` in label order and decodes no filter.
+    """
+    keys = [(d.lam_pos[x], d.rho_pos[y]) for (x, y), _ in _pair_filters(d)]
+    return _dominance_diagram(keys)
 
 
 def pair_filter_maps(d):
@@ -268,7 +286,7 @@ def pair_filter_maps(d):
     other and carry the componentwise pair order to reverse inclusion is
     the law "pair and filter maps are reciprocal".
     """
-    to_filter = {p: frozenset(elems) for _, elems, p in _pair_filters(d)}
+    to_filter = {p: _elements(d.n, mask) for p, mask in _pair_filters(d)}
     to_pair = {f: _pair_key(d, f) for f in to_filter.values()}
     return to_filter, to_pair
 
@@ -440,19 +458,18 @@ def antimatroid_of(d):
     make up the law "filter complements form an antimatroid".
     """
     full = frozenset(range(d.n)) - {d.bottom}
-    feasible = frozenset(full.difference(elems) for _, elems, _ in _pair_filters(d))
+    feasible = frozenset(full - _elements(d.n, mask) for _, mask in _pair_filters(d))
     return Antimatroid(frozenset(d.interior()), feasible)
 
 
 def meet_irreducible_filters(d):
     """Principal filters of interior elements, as the meet-irreducibles.
 
-    Returns {x: everything above x} for interior x.  That these filters are
-    exactly the ones the meet-irreducible elements of the filter lattice
-    carry, and that the left relation transports along x -> its filter, is
-    the law "meet irreducibles carry principal filters".
+    Returns {x: everything above x} for interior x, the :func:`_quadrant`
+    of the pair (x, x).  That these filters are exactly the ones the
+    meet-irreducible elements of the filter lattice carry, and that the
+    left relation transports along x -> its filter, is the law "meet
+    irreducibles carry principal filters".
     """
     _check_distinct_ends(d)
-    lam, rho = d.lam_pos, d.rho_pos
-    return {x: frozenset(z for z in d.lam_order[lam[x]:] if rho[z] >= rho[x])
-            for x in d.interior()}
+    return {x: _quadrant(d, x, x) for x in d.interior()}

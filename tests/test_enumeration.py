@@ -1,9 +1,11 @@
 """Enumeration, the independent oracle, and the law suite plumbing."""
 
 import os
+import signal
 import subprocess
 import sys
 import threading
+import time
 from itertools import combinations, islice, permutations
 from math import factorial
 from pathlib import Path
@@ -543,6 +545,31 @@ def test_a_truncated_share_raises_and_leaves_no_child(monkeypatch):
         _on_cpus(monkeypatch, 2, 7, 20)
     assert (exc.value.ranks, exc.value.status) == ((100, 120), 0)
     assert "ranks [100, 120) sent a truncated result" in str(exc.value)
+    assert _no_child_left()
+
+
+def test_a_bad_message_from_a_live_child_kills_it_and_leaves_no_child(monkeypatch):
+    # two processes, twenty ranks to a block: the child's first result,
+    # block 1, ranks [20, 40), goes short while the child still has blocks
+    # 3 and 5 to run; it sleeps at rank 60, so it is alive when the caller
+    # reads the bad message, and must be killed rather than waited for
+    real, sent = enumeration.pickle.dumps, []
+    caller, sleeping = os.getpid(), _rank(7, 60)
+
+    def dumps(obj):
+        sent.append(None)
+        return real(obj)[:-7] if len(sent) == 1 else real(obj)
+
+    def sleeps_in_a_child(ctx):
+        if os.getpid() != caller and qp.canonical_form(ctx.q) == sleeping:
+            time.sleep(20)
+
+    _with_law(monkeypatch, "sleeps in a child", sleeps_in_a_child)
+    monkeypatch.setattr(enumeration.pickle, "dumps", dumps)
+    with pytest.raises(qp.ShareFailed) as exc:
+        _on_cpus(monkeypatch, 2, 7, 20)
+    assert (exc.value.ranks, exc.value.status) == ((20, 40), -signal.SIGKILL)
+    assert "ranks [20, 40) sent a truncated result" in str(exc.value)
     assert _no_child_left()
 
 

@@ -16,7 +16,8 @@ oriented a bare order before implication classes did, and the
 ``diagram_from_chains`` that oriented the order and built its tables
 before drawing from the support heights, the mask scans that found
 the extremes of the peelings, pair keys, boundary walks, supports and
-narrows before they were read off the sweeps, and the cover masks whose
+narrows before they were read off the sweeps, the sort by (size,
+elements) that put the filters in label order before their masks did, and the cover masks whose
 bit counts, folds and runs of maxima gave the irreducibles, ``upstar``
 and the boundary walks before they read the extreme covers, and the mask
 bodies of ``min_between``, ``meet_irreducible_filters``, the
@@ -525,14 +526,51 @@ def test_filters_are_the_quadrants_of_their_pairs():
         if d.n < 3:
             continue
         found = transform._pair_filters(d)
-        assert sorted(p for _, _, p in found) == sorted(qp.weak_left_pairs(d))
-        for _, elems, (x, y) in found:
+        assert sorted(p for p, _ in found) == sorted(qp.weak_left_pairs(d))
+        for (x, y), mask in found:
             want = frozenset(bits(_pair_mask(d, x, y)))
-            assert frozenset(elems) == want, (d, x, y)
+            assert transform._elements(d.n, mask) == want, (d, x, y)
             assert qp.hco_closure(d, (x, y)) == want, (d, x, y)
             checked += 1
     # every weak left pair of every diagram of sizes 3-8, three labelings each
     assert checked == 3 * 11994
+
+
+# -- the label order of the filters against the sort by their elements -----
+
+
+def _assert_filters_in_label_order(d):
+    """Both labelled constructions list the quadrants of the weak left pairs
+    sorted by (size, elements), the sort that listed every filter's elements
+    before the masks were ordered, and the unlabelled β2 is the labelled
+    one's diagram."""
+    quadrants = (frozenset(bits(_pair_mask(d, x, y))) for x, y in qp.weak_left_pairs(d))
+    want = tuple(sorted(quadrants, key=lambda f: (len(f), sorted(f))))
+    beta2, filters = qp.lattice_from_filters_labeled(d)
+    assert filters == want, d
+    assert qp.enumerate_hco_filters(d).filters == want, d
+    assert qp.lattice_from_filters(d) == beta2, d
+
+
+def test_filters_come_in_label_order():
+    checked = 0
+    for d in _relabelled(8):
+        if d.n >= 3:
+            _assert_filters_in_label_order(d)
+            checked += 1
+    # every diagram of sizes 3-8, three labelings each
+    assert checked == 3 * 873
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(9, 40).flatmap(lambda n: st.tuples(
+    st.permutations(range(1, n - 1)).map(tuple), st.permutations(range(n)).map(tuple),
+)))
+def test_filters_come_in_label_order_on_samples(perm_and_labels):
+    perm, labels = perm_and_labels
+    q = qp.from_canonical(perm)
+    _assert_filters_in_label_order(q)
+    _assert_filters_in_label_order(qp.relabel(q, labels))
 
 
 def test_filter_lattice_of_a_40_element_diagram():
@@ -646,7 +684,9 @@ def _nar_by_masks(d):
 
 def _assert_extremes_match_the_masks(d, lattice_diagram):
     for leftmost in (True, False):
-        assert transform._peel(d, leftmost) == _peel_by_masks(d, leftmost), d
+        chain, steps = _peel_by_masks(d, leftmost)
+        want = tuple(frozenset(bits(m)) for m in chain), tuple(steps)
+        assert transform._peel(d, leftmost) == want, d
     for f in qp.enumerate_hco_filters(d).filters:
         assert transform._pair_key(d, f) == _pair_key_by_masks(d, f), (d, f)
     assert lattice._cover_walks(d) == _cover_walks_by_masks(d), d
