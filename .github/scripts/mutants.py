@@ -149,6 +149,20 @@ MUTANTS = (
         "        ]",
         (ORACLES + "test_parse_pairs_matches_the_reference_on_mutated_lists",),
     ),
+    (  # a block's memo writes each pair as serialize does
+        "io.py",
+        'text = self[code] = "[%d,%d]" % divmod(code, self.n)',
+        'text = self[code] = "[%d, %d]" % divmod(code, self.n)',
+        (ORACLES + "test_batch_writer_matches_serialize_on_every_diagram_through_size_9",
+         "tests/test_cli.py::test_enumerate_output_is_pinned_at_size_8"),
+    ),
+    (  # a pair code is x·n + y for the size of the memo's diagrams
+        "io.py",
+        'text = self[code] = "[%d,%d]" % divmod(code, self.n)',
+        'text = self[code] = "[%d,%d]" % divmod(code, self.n + 1)',
+        (ORACLES + "test_batch_writer_matches_serialize_on_every_diagram_through_size_9",
+         "tests/test_cli.py::test_enumerate_output_is_pinned_at_size_8"),
+    ),
     (  # the collector comes back on every way out of a document command
         "cli.py",
         "    try:\n        yield\n    finally:\n        if was_on:\n            gc.enable()\n",

@@ -23,7 +23,7 @@ from itertools import chain
 from .diagram import canonical_form, canonical_relabel, from_canonical, similar
 from .enumeration import _in_blocks, count_quasiplanar, expected_count, verify_suite
 from .errors import ShareFailed
-from .io import _COMPACT, parse, render_dot, serialize
+from .io import _COMPACT, _serialized, parse, render_dot, serialize
 from .transform import _rebuilt, lattice_from_filters, lattice_from_pairs, to_quasiplanar
 
 
@@ -99,7 +99,8 @@ def _cmd_roundtrip(d, args):
 
 
 def _documents(perms):
-    return [serialize(from_canonical(p)) for p in perms]
+    # one block's documents share one memo of pair texts, at most n² of them
+    return _serialized(map(from_canonical, perms))
 
 
 def _cmd_enumerate(args):

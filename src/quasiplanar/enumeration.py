@@ -17,6 +17,7 @@ from __future__ import annotations
 import os
 import pickle
 import signal
+import sys
 import threading
 import time
 from contextlib import closing, contextmanager
@@ -65,6 +66,11 @@ from .transform import (
 def _check_size(size):
     if not isinstance(size, int) or size < 2:
         raise ValueError(f"size must be an integer >= 2, got {_shown(size)}")
+    # math.factorial refuses an argument past the platform's C long
+    if size - 2 > sys.maxsize:
+        raise SizeTooLarge(
+            f"size {_shown(size)} is too large: (size - 2)! cannot be computed"
+        )
 
 
 def expected_count(size):

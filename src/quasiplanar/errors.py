@@ -66,7 +66,11 @@ class InvalidGroundElement(ValueError):
 
 
 class SizeTooLarge(ValueError):
-    """Brute-force enumeration was asked to run above its size guard."""
+    """A size past what can be counted, or past brute force's size guard.
+
+    Raised for a size whose (size - 2)! ``math.factorial`` cannot compute,
+    and by brute-force enumeration above its size guard.
+    """
 
 
 class MalformedDocument(ValueError):

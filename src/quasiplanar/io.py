@@ -133,13 +133,17 @@ def document_of(d, name=None):
     return DiagramDocument(d.n, d.cover_pairs(), d.left_pairs(), name)
 
 
+# a diagram's document, given its size and the texts of its two pair lists
+_DOCUMENT = '{"n":%d,"covers":[%s],"left":[%s]}'
+
+
 def _pairs_text(codes, n):
-    """The JSON array of the pairs of the sorted codes x·n + y, compact."""
+    """The pairs of the sorted codes x·n + y as compact JSON, comma-separated."""
     k = len(codes)
     flat = [0] * (2 * k)
     flat[::2] = map(floordiv, codes, repeat(n))
     flat[1::2] = map(mod, codes, repeat(n))
-    return "[" + ("[%d,%d]," * k)[:-1] % tuple(flat) + "]"
+    return ("[%d,%d]," * k)[:-1] % tuple(flat)
 
 
 def serialize(doc, pretty=False):
@@ -155,7 +159,7 @@ def serialize(doc, pretty=False):
     if not isinstance(doc, DiagramDocument):
         if not pretty:
             n = doc.n
-            return '{"n":%d,"covers":%s,"left":%s}' % (
+            return _DOCUMENT % (
                 n, _pairs_text(doc._cover_codes(), n), _pairs_text(doc._left_codes(), n)
             )
         doc = document_of(doc)
@@ -166,6 +170,40 @@ def serialize(doc, pretty=False):
     if pretty:
         return json.dumps(data, indent=2) + "\n"
     return _COMPACT.encode(data)
+
+
+class _PairTexts(dict):
+    """The text of each pair code x·n + y of one size n, formatted on first use."""
+
+    def __init__(self, n):
+        super().__init__()
+        self.n = n
+
+    def __missing__(self, code):
+        text = self[code] = "[%d,%d]" % divmod(code, self.n)
+        return text
+
+
+def _serialized(diagrams):
+    """The list of ``serialize(d)`` for the diagrams, each pair text formatted once.
+
+    Diagrams of one size share their pair codes: the 40 320 of size 10
+    have about a million pairs but only 100 codes.  So each code's text
+    is formatted once into a memo, which a run of diagrams of the same
+    size reads, and a diagram of another size starts a new one.  A single
+    diagram goes through :func:`serialize`, where a memo would never hit.
+    """
+    out = []
+    texts = _PairTexts(0)
+    for d in diagrams:
+        n = d.n
+        if n != texts.n:
+            texts = _PairTexts(n)
+        text = texts.__getitem__
+        out.append(_DOCUMENT % (
+            n, ",".join(map(text, d._cover_codes())), ",".join(map(text, d._left_codes()))
+        ))
+    return out
 
 
 def grid_layout(d):

@@ -158,6 +158,19 @@ def test_enumerate_refuses_a_bad_size_before_making_the_directory(cli, tmp_path)
     assert not out_dir.exists()
 
 
+def test_sized_commands_refuse_a_size_past_the_factorial_in_one_line(cli, tmp_path):
+    out_dir = tmp_path / "docs"
+    for args in (("count",), ("enumerate",), ("enumerate", "--out", str(out_dir)),
+                 ("verify",)):
+        code, out, err = cli(*args, "--size", "99999999999999999999")
+        assert (code, out) == (1, ""), args
+        assert err == (
+            "SizeTooLarge: size 99999999999999999999 is too large: "
+            "(size - 2)! cannot be computed\n"
+        ), args
+    assert not out_dir.exists()
+
+
 def test_count_reports_the_factorial(cli):
     code, out, err = cli("count", "--size", "7")
     assert code == 0

@@ -41,6 +41,28 @@ def test_one_size_check_with_a_bounded_message():
             assert str(exc.value) == f"size must be an integer >= 2, got {shown}"
 
 
+def test_a_size_past_the_factorial_is_too_large():
+    # (size - 2)! is past math.factorial, which took the size until it
+    # raised OverflowError; the smallest size that runs is left to run
+    checks = (
+        qp.expected_count,
+        lambda size: next(qp.enumerate_quasiplanar(size)),
+        qp.count_quasiplanar,
+        qp.verify_suite,
+    )
+    for check in checks:
+        for size, shown in ((sys.maxsize + 3, str(sys.maxsize + 3)),
+                            (99999999999999999999, "99999999999999999999"),
+                            (10**20, "an integer of 67 bits"),
+                            (10**5000, "an integer of 16610 bits")):
+            with pytest.raises(qp.SizeTooLarge) as exc:
+                check(size)
+            assert str(exc.value) == (
+                f"size {shown} is too large: (size - 2)! cannot be computed"
+            )
+    assert enumeration._check_size(sys.maxsize + 2) is None
+
+
 def test_enumerate_walks_canonical_permutations_in_lex_order():
     assert [qp.canonical_form(d) for d in qp.enumerate_quasiplanar(4)] == [
         (1, 2), (2, 1),

@@ -6,7 +6,9 @@ instead, and a diagram derives its own masks and covers on first read.
 The mask-building versions live on here as oracles, next to the eager
 derivation of every field of a diagram, a subset scan for the filter
 family, the intersection of the filters as the closure, a minimal-bounds
-search for the lattice tables, the triple scan for slimness, the m² loop
+search for the lattice tables, ``serialize``, which formats every pair
+of every document, for the block writer that shares a block's pair
+texts, the triple scan for slimness, the m² loop
 for semimodularity and the table verdict for the certificate of
 ``to_quasiplanar``, meet representations over every meet-irreducible, the
 all-pairs ``validate`` that read the order twice, the pair-list loops
@@ -42,7 +44,7 @@ from quasiplanar.diagram import (
     Diagram, _check_pairs, _dominance_diagram, _listed, _order, _shown, bits,
     validate,
 )
-from quasiplanar.enumeration import _labeled_posets
+from quasiplanar.enumeration import _BLOCK, _labeled_posets
 from quasiplanar.errors import (
     LeftIncomplete,
     LeftOnComparable,
@@ -1675,6 +1677,47 @@ def test_one_mutated_entry_is_read_as_the_per_entry_pass_reads_it(case):
     at = min(at, len(pairs))
     doc[key] = pairs[:at] + [entry] + pairs[at:]
     _assert_documents_read_alike(json.dumps(doc))
+
+
+# -- the block writer against serialize, which formats every pair ---------
+
+
+def _assert_written_as_serialize(batch):
+    assert io._serialized(batch) == [qp.serialize(d) for d in batch]
+
+
+def test_batch_writer_matches_serialize_on_every_diagram_through_size_9():
+    written = 0
+    for size in range(2, 10):
+        batch = list(qp.enumerate_quasiplanar(size))
+        _assert_written_as_serialize(batch)
+        for lo in range(0, len(batch), _BLOCK):
+            _assert_written_as_serialize(batch[lo:lo + _BLOCK])
+        written += len(batch)
+    assert written == sum(qp.expected_count(size) for size in range(2, 10)) == 5914
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(10, 40).flatmap(lambda n: st.lists(st.tuples(
+    st.permutations(range(1, n - 1)).map(tuple), st.permutations(range(n)).map(tuple),
+), min_size=1, max_size=4)))
+def test_batch_writer_matches_serialize_on_relabelled_samples(perms_and_labels):
+    batch = []
+    for perm, labels in perms_and_labels:
+        q = qp.from_canonical(perm)
+        batch += [qp.relabel(q, labels), q]
+    _assert_written_as_serialize(batch)
+
+
+def test_batch_writer_keeps_each_size_to_its_own_texts():
+    # a code x·n + y names another pair at another n: 6 is [1,2] at n = 4
+    # and [1,1] at n = 5, so texts carried across sizes would show here
+    batch = list(_relabelled(7))
+    random.Random(1).shuffle(batch)
+    _assert_written_as_serialize(batch)
+    _assert_written_as_serialize([d for d in batch if d.n in (4, 5)])
+    small, large = qp.from_canonical((1, 2)), qp.from_canonical(range(1, 39))
+    _assert_written_as_serialize([small, large, small, large])
 
 
 # -- order_dimension_le2 against the backtracking solver it replaced -------
