@@ -149,17 +149,31 @@ MUTANTS = (
         "        ]",
         (ORACLES + "test_parse_pairs_matches_the_reference_on_mutated_lists",),
     ),
-    (  # a block's memo writes each pair as serialize does
+    (  # enumerate's writer formats each pair as serialize does
         "io.py",
-        'text = self[code] = "[%d,%d]" % divmod(code, self.n)',
-        'text = self[code] = "[%d, %d]" % divmod(code, self.n)',
+        'texts = ["[%d,%d]" % divmod(code, n) for code in range(n * n)]',
+        'texts = ["[%d, %d]" % divmod(code, n) for code in range(n * n)]',
         (ORACLES + "test_batch_writer_matches_serialize_on_every_diagram_through_size_9",
          "tests/test_cli.py::test_enumerate_output_is_pinned_at_size_8"),
     ),
-    (  # a pair code is x·n + y for the size of the memo's diagrams
+    (  # a pair code is x·n + y for the size of the permutation at hand
         "io.py",
-        'text = self[code] = "[%d,%d]" % divmod(code, self.n)',
-        'text = self[code] = "[%d,%d]" % divmod(code, self.n + 1)',
+        'texts = ["[%d,%d]" % divmod(code, n) for code in range(n * n)]',
+        'texts = ["[%d,%d]" % divmod(code, n + 1) for code in range(n * n)]',
+        (ORACLES + "test_batch_writer_matches_serialize_on_every_diagram_through_size_9",
+         "tests/test_cli.py::test_enumerate_output_is_pinned_at_size_8"),
+    ),
+    (  # x < y is a left pair of a canonical diagram when rho inverts them
+        "io.py",
+        "left = [text for x, y, text in interior if rho[x] > rho[y]]",
+        "left = [text for x, y, text in interior if rho[x] < rho[y]]",
+        (ORACLES + "test_batch_writer_matches_serialize_on_every_diagram_through_size_9",
+         "tests/test_cli.py::test_enumerate_output_is_pinned_at_size_8"),
+    ),
+    (  # each cover of x lowers the bound on the reverse position of the next
+        "io.py",
+        "                covers.append(texts[base + y])\n                bound = r\n",
+        "                covers.append(texts[base + y])\n",
         (ORACLES + "test_batch_writer_matches_serialize_on_every_diagram_through_size_9",
          "tests/test_cli.py::test_enumerate_output_is_pinned_at_size_8"),
     ),

@@ -20,10 +20,10 @@ import sys
 from contextlib import closing, contextmanager
 from itertools import chain
 
-from .diagram import canonical_form, canonical_relabel, from_canonical, similar
+from .diagram import canonical_form, canonical_relabel, similar
 from .enumeration import _in_blocks, count_quasiplanar, expected_count, verify_suite
 from .errors import ShareFailed
-from .io import _COMPACT, _serialized, parse, render_dot, serialize
+from .io import _COMPACT, _canonical_documents, parse, render_dot, serialize
 from .transform import _rebuilt, lattice_from_filters, lattice_from_pairs, to_quasiplanar
 
 
@@ -98,16 +98,12 @@ def _cmd_roundtrip(d, args):
     return ok
 
 
-def _documents(perms):
-    # one block's documents share one memo of pair texts, at most n² of them
-    return _serialized(map(from_canonical, perms))
-
-
 def _cmd_enumerate(args):
     # the size is checked here, before DIR is made; the blocks run over
-    # every CPU and come back in rank order
+    # every CPU and come back in rank order, each a list of documents
+    # written straight from its permutations
     total = expected_count(args.size)
-    blocks = _in_blocks(args.size, _documents, "the enumeration's block")
+    blocks = _in_blocks(args.size, _canonical_documents, "the enumeration's block")
     with closing(blocks):
         docs = chain.from_iterable(blocks)
         if args.out is None:

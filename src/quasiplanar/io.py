@@ -172,37 +172,53 @@ def serialize(doc, pretty=False):
     return _COMPACT.encode(data)
 
 
-class _PairTexts(dict):
-    """The text of each pair code x·n + y of one size n, formatted on first use."""
+def _canonical_document(perm, texts, interior):
+    """``serialize(from_canonical(perm))``, given its size's pair texts.
 
-    def __init__(self, n):
-        super().__init__()
-        self.n = n
-
-    def __missing__(self, code):
-        text = self[code] = "[%d,%d]" % divmod(code, self.n)
-        return text
-
-
-def _serialized(diagrams):
-    """The list of ``serialize(d)`` for the diagrams, each pair text formatted once.
-
-    Diagrams of one size share their pair codes: the 40 320 of size 10
-    have about a million pairs but only 100 codes.  So each code's text
-    is formatted once into a memo, which a run of diagrams of the same
-    size reads, and a diagram of another size starts a new one.  A single
-    diagram goes through :func:`serialize`, where a memo would never hit.
+    Element k of the canonical diagram is at position k of the
+    left-to-right sweep and at ``rho[k]`` of the other, so its left pairs
+    are the inversions of ``rho`` and its covers come from the staircase
+    walk of ``Diagram._cover_codes`` run on ``rho`` itself.  ``texts[x·n + y]``
+    is the text of the pair (x, y), and ``interior`` lists
+    ``(x, y, texts[x·n + y])`` for the interior elements x < y.  Both
+    lists of pairs come out sorted, as labels are positions.
     """
-    out = []
-    texts = _PairTexts(0)
-    for d in diagrams:
-        n = d.n
-        if n != texts.n:
-            texts = _PairTexts(n)
-        text = texts.__getitem__
-        out.append(_DOCUMENT % (
-            n, ",".join(map(text, d._cover_codes())), ",".join(map(text, d._left_codes()))
-        ))
+    n = len(perm) + 2
+    rho = (0, *perm, n - 1)
+    covers = []
+    for x in range(n - 1):
+        low, bound, base = rho[x], n, x * n
+        for y in range(x + 1, n):
+            r = rho[y]
+            if low < r < bound:
+                covers.append(texts[base + y])
+                bound = r
+                if r == low + 1:
+                    break
+    left = [text for x, y, text in interior if rho[x] > rho[y]]
+    return _DOCUMENT % (n, ",".join(covers), ",".join(left))
+
+
+def _canonical_documents(perms):
+    """The list of ``serialize(from_canonical(p))`` for the permutations.
+
+    The writer of CLI ``enumerate``: each document comes straight from its
+    permutation, with no diagram built.  A run of permutations of one
+    length shares the texts of its pair codes, at most n² of them,
+    formatted once; a permutation of another length starts new ones.  The
+    permutations are not checked: enumerate's come from ``permutations``.
+    Each rank is one call of :func:`_canonical_document`, where a test can
+    hook a single rank.
+    """
+    out, n = [], None
+    for perm in perms:
+        if len(perm) + 2 != n:
+            n = len(perm) + 2
+            texts = ["[%d,%d]" % divmod(code, n) for code in range(n * n)]
+            interior = [
+                (x, y, texts[x * n + y]) for x in range(1, n - 1) for y in range(x + 1, n - 1)
+            ]
+        out.append(_canonical_document(perm, texts, interior))
     return out
 
 

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import time
+from contextlib import contextmanager
 from itertools import combinations, islice, permutations
 from math import factorial
 from pathlib import Path
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import quasiplanar as qp
-from quasiplanar import cli, enumeration, transform
+from quasiplanar import cli, enumeration, io, transform
 
 
 def test_expected_count_is_factorial():
@@ -667,16 +668,33 @@ def _rank(size, r):
     return next(islice(permutations(range(1, size - 1)), r, None))
 
 
-def _decoding(monkeypatch, module, perm, in_caller, effect):
-    """Make ``module.from_canonical(perm)`` call ``effect`` in the caller or in a child."""
-    caller, real = os.getpid(), module.from_canonical
+@contextmanager
+def _hooked(monkeypatch, module, name, perm, in_caller, effect):
+    """Make ``module.name(perm, ...)`` call ``effect`` in the caller or in a
+    child while the body runs, then assert that it did.
 
-    def decode(p):
+    ``name`` is the per-rank step of a block: ``io._canonical_document`` for
+    enumerate, ``enumeration.from_canonical`` for count.  The hook reports
+    reaching ``perm`` through a pipe, which a forked child inherits, so a
+    hook on a step that no longer runs fails here rather than passing idle.
+    """
+    caller, real = os.getpid(), getattr(module, name)
+    r, w = os.pipe()
+
+    def hook(p, *rest):
         if p == perm and (os.getpid() == caller) == in_caller:
+            os.write(w, b"!")
             effect()
-        return real(p)
+        return real(p, *rest)
 
-    monkeypatch.setattr(module, "from_canonical", decode)
+    with open(r, "rb") as reached:
+        try:
+            with monkeypatch.context() as m:
+                m.setattr(module, name, hook)
+                yield
+        finally:
+            os.close(w)
+        assert reached.read(1) == b"!", f"{module.__name__}.{name} never reached {perm}"
 
 
 def test_split_enumerate_prints_what_one_process_does(monkeypatch, capsys):
@@ -717,6 +735,21 @@ def test_split_enumerate_writes_the_same_files(monkeypatch, capsys, tmp_path):
     assert _no_child_left()
 
 
+def test_enumerate_files_in_name_order_are_its_stdout(monkeypatch, capsys, tmp_path):
+    # ten ranks to a block: twelve blocks, dealt over three processes
+    code, want, err = _enumerated(monkeypatch, capsys, 1, 10, "--size", "7")
+    assert (code, err, want.count("\n")) == (0, "", 120)
+    for cpus in (1, 3):
+        out = tmp_path / str(cpus)
+        code, text, err = _enumerated(monkeypatch, capsys, cpus, 10, "--size", "7", "--out", str(out))
+        assert (code, err) == (0, "")
+        assert text == f'{{"size":7,"count":120,"out":"{out}"}}\n'
+        paths = sorted(out.iterdir())
+        assert len(paths) == 120
+        assert b"".join(p.read_bytes() for p in paths) == want.encode()
+    assert _no_child_left()
+
+
 def test_split_count_counts_what_one_process_does(monkeypatch):
     forked = _forks(monkeypatch)
     monkeypatch.setattr(enumeration, "_BLOCK", 7)
@@ -733,8 +766,8 @@ def test_a_child_dying_mid_block_raises_and_leaves_no_child(monkeypatch, capsys)
     # three processes, ten ranks to a block: block 4, ranks [40, 50), is the
     # first child's second, and the child dies at rank 45; the CLI names the
     # ShareFailed in one line and exits 1
-    _decoding(monkeypatch, cli, _rank(7, 45), False, lambda: os._exit(3))
-    code, out, err = _enumerated(monkeypatch, capsys, 3, 10, "--size", "7")
+    with _hooked(monkeypatch, io, "_canonical_document", _rank(7, 45), False, lambda: os._exit(3)):
+        code, out, err = _enumerated(monkeypatch, capsys, 3, 10, "--size", "7")
     assert (code, err) == (1, (
         "ShareFailed: the enumeration's block of ranks [40, 50) ended with exit status 3\n"
     ))
@@ -762,18 +795,18 @@ def _interrupt():
 
 def test_an_interrupted_enumeration_kills_and_reaps_its_children(monkeypatch, capsys):
     # rank 35 is in block 3, the caller's second
-    _decoding(monkeypatch, cli, _rank(7, 35), True, _interrupt)
-    code, out, err = _enumerated(monkeypatch, capsys, 3, 10, "--size", "7")
+    with _hooked(monkeypatch, io, "_canonical_document", _rank(7, 35), True, _interrupt):
+        code, out, err = _enumerated(monkeypatch, capsys, 3, 10, "--size", "7")
     assert (code, out.count("\n"), err) == (130, 30, "interrupted\n")
     assert _no_child_left()
 
 
 def test_an_interrupted_count_kills_and_reaps_its_children(monkeypatch):
-    _decoding(monkeypatch, enumeration, _rank(7, 35), True, _interrupt)
     monkeypatch.setattr(enumeration, "_BLOCK", 10)
     monkeypatch.setattr(enumeration, "_cpus", lambda: 3)
-    with pytest.raises(KeyboardInterrupt):
-        qp.count_quasiplanar(7)
+    with _hooked(monkeypatch, enumeration, "from_canonical", _rank(7, 35), True, _interrupt):
+        with pytest.raises(KeyboardInterrupt):
+            qp.count_quasiplanar(7)
     assert _no_child_left()
 
 
